@@ -16,10 +16,10 @@ from .eigsum import (CuccSelection, EqualityCase, GapBound, cucc_selection,
 from .errors import (GuardRefusal, InvariantViolation, NumericalError,
                      PreconditionError, ProjconstError, ResourceExhausted,
                      WitnessConstraintError, WitnessNormalizationError)
-from .matcore import (OrthoProjection, RowSumStats, SignMatrix, SignPattern,
-                      Spectrum, SymMatrix, WeightVector, eig_sym,
-                      matrix_from_json, matrix_to_json, perron,
-                      row_sum_stats, sign_pattern, validate_projection)
+from .matcore import (OrthoProjection, RowSumStats, SignMatrix, Spectrum,
+                      SymMatrix, WeightVector, eig_sym, matrix_from_json,
+                      matrix_to_json, perron, row_sum_stats, sign_matrix_of,
+                      validate_projection)
 from .rationalize import RationalWeights, choose_k, dirichlet_approx
 from .relproj import (AttainmentResult, DualityWitness, SubspaceBasis,
                       attainment_check, min_projection_norm, nu1,
@@ -36,7 +36,7 @@ __all__ = [
     "GuardRefusal", "InvariantViolation", "NumericalError",
     "OrthoProjection", "PipelineResult", "PreconditionError",
     "ProjconstError", "RationalWeights", "ResourceExhausted", "RowSumStats",
-    "SEEDS", "SearchResult", "SignMatrix", "SignPattern", "Spectrum",
+    "SEEDS", "SearchResult", "SignMatrix", "Spectrum",
     "SubspaceBasis", "SymMatrix", "WeightVector", "WitnessConstraintError",
     "WitnessNormalizationError", "almost_minimal", "alternate_maximize",
     "attainment_check", "blow_up", "certify", "choose_k", "cucc_selection",
@@ -44,6 +44,6 @@ __all__ = [
     "exhaustive_pi", "get_seed", "gruenbaum_floor", "kyfan_sum",
     "lift_eigenvectors", "matrix_from_json", "matrix_to_json",
     "min_projection_norm", "nu1", "operator_norm", "perron", "pi_n_general",
-    "row_sum_stats", "sign_pattern", "spectral_gap_bound",
+    "row_sum_stats", "sign_matrix_of", "spectral_gap_bound",
     "trace_certificate", "validate_projection", "weighted_equivalent",
 ]

@@ -25,9 +25,9 @@ from .blowup import BlowupSpec, blow_up, lift_eigenvectors, weighted_equivalent
 from .errors import (NumericalError, PreconditionError, ResourceExhausted,
                      WitnessConstraintError)
 from .eigsum import kyfan_sum
-from .matcore import (OrthoProjection, SIGN_ZERO_TOL, SignMatrix,
-                      eig_sym, matrix_to_json, perron, row_sum_stats,
-                      sign_pattern, validate_projection)
+from .matcore import (OrthoProjection, SignMatrix, eig_sym, matrix_to_json,
+                      perron, row_sum_stats, sign_matrix_of,
+                      validate_projection)
 from .rationalize import choose_k, dirichlet_approx
 from .relproj import (SubspaceBasis, operator_norm, trace_certificate)
 
@@ -116,7 +116,7 @@ def certify(p: OrthoProjection) -> Certificate:
     if p.abs_is_positive():
         rho_val, v = perron(p.abs_entries())
         rho = float(rho_val)
-        signs = sign_pattern(p.entries, SIGN_ZERO_TOL).to_sign_matrix()
+        signs = sign_matrix_of(p)
         basis = _range_basis(p)
         weights = v * v
         weights = weights / weights.sum()
@@ -192,7 +192,7 @@ def almost_minimal(n: int, eps: float, seed: OrthoProjection,
             f"cap {_DENSE_SIZE_LIMIT}; increase eps or supply a closer "
             f"rational seed", best_q=d)
 
-    base = sign_pattern(seed.entries, SIGN_ZERO_TOL).to_sign_matrix()
+    base = sign_matrix_of(seed)
     spec = BlowupSpec(base, rational.p)
     s = blow_up(spec)
     p = _kyfan_via_lifting(spec, s, n)
@@ -202,7 +202,7 @@ def almost_minimal(n: int, eps: float, seed: OrthoProjection,
     converged = False
     iterations = 0
     for iterations in range(1, max_refine + 1):
-        s_next = sign_pattern(p.entries, SIGN_ZERO_TOL).to_sign_matrix()
+        s_next = sign_matrix_of(p)
         if np.array_equal(s_next.entries, s.entries):
             converged = True
             break

@@ -16,10 +16,11 @@ import sys
 import numpy as np
 
 from . import almostmin, blowup, rationalize, relproj, search, seeds
-from .errors import GuardRefusal, ProjconstError, ResourceExhausted
+from .errors import (GuardRefusal, PreconditionError, ProjconstError,
+                     ResourceExhausted)
 from .eigsum import cucc_selection
 from .matcore import (SignMatrix, WeightVector, matrix_from_json,
-                      matrix_to_json, sign_pattern, validate_projection)
+                      matrix_to_json, sign_matrix_of, validate_projection)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -64,20 +65,22 @@ def _load_projection(spec: str, tol: float):
     return validate_projection(mat, n, tol)
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--tol", type=float, default=1e-9,
-                     help="validation tolerance (default 1e-9)")
-    sub.add_argument("--threads", type=int, default=1,
-                     help="worker parallelism cap (default 1)")
+def _add_out(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", help="also write the JSON result to this file")
+
+
+def _add_validation_tol(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--tol", type=float, default=1e-9,
+                     help="projection validation tolerance (default 1e-9)")
 
 
 def _cmd_search(args) -> int:
     if args.exhaustive:
-        result = search.exhaustive_pi(args.n, args.d, restarts=args.restarts,
-                                      threads=args.threads)
+        result = search.exhaustive_pi(args.n, args.d, restarts=args.restarts)
         mode = "exhaustive"
     else:
+        if args.restarts < 1:
+            raise PreconditionError("restarts must be >= 1")
         rng = np.random.default_rng(search._RESTART_SEED)
         best = None
         for _ in range(args.restarts):
@@ -147,7 +150,7 @@ def _cmd_eigsum(args) -> int:
 
 def _cmd_blowup(args) -> int:
     base_arr = matrix_from_json(_load_json(args.base))
-    base = sign_pattern(base_arr, args.tol).to_sign_matrix()
+    base = sign_matrix_of(base_arr, args.tol)
     mult = tuple(int(x) for x in args.multiplicities.split(","))
     spec = blowup.BlowupSpec(base, mult)
     big = blowup.blow_up(spec)
@@ -185,7 +188,7 @@ def build_parser() -> _Parser:
     mode.add_argument("--alternating", dest="exhaustive",
                       action="store_false")
     p.add_argument("--restarts", type=int, default=5)
-    _add_common(p)
+    _add_out(p)
     p.set_defaults(func=_cmd_search)
 
     p = subs.add_parser("almost-min",
@@ -196,7 +199,8 @@ def build_parser() -> _Parser:
                    help="seed name (hex3, icosa6, trivial1) or matrix JSON file")
     p.add_argument("--matrices", action="store_true",
                    help="include P and S in the JSON output")
-    _add_common(p)
+    _add_validation_tol(p)
+    _add_out(p)
     p.set_defaults(func=_cmd_almost_min)
 
     p = subs.add_parser("relproj",
@@ -204,27 +208,32 @@ def build_parser() -> _Parser:
     p.add_argument("--space", choices=("l1", "linf"), required=True)
     p.add_argument("--basis", required=True, help="subspace basis JSON file")
     p.add_argument("--certify", help="witness matrix JSON file to verify")
-    _add_common(p)
+    _add_out(p)
     p.set_defaults(func=_cmd_relproj)
 
     p = subs.add_parser("certify", help="row-sum/duality certificate")
     p.add_argument("--seed", required=True,
                    help="seed name or projection matrix JSON file")
-    _add_common(p)
+    _add_validation_tol(p)
+    _add_out(p)
     p.set_defaults(func=_cmd_certify)
 
     p = subs.add_parser("eigsum",
                         help="best conjugation-closed eigenvalue sum")
     p.add_argument("--matrix", required=True, help="matrix JSON file")
     p.add_argument("--n", type=int, required=True)
-    _add_common(p)
+    _add_out(p)
     p.set_defaults(func=_cmd_eigsum)
 
     p = subs.add_parser("blowup", help="blow up a sign matrix")
     p.add_argument("--base", required=True, help="sign matrix JSON file")
     p.add_argument("--multiplicities", required=True,
                    help="comma-separated positive integers")
-    _add_common(p)
+    p.add_argument("--tol", type=float, default=1e-9,
+                   help="sign zero threshold: base entries within "
+                        "[-tol, tol] count as zeros and become +1 "
+                        "(default 1e-9)")
+    _add_out(p)
     p.set_defaults(func=_cmd_blowup)
 
     p = subs.add_parser("dirichlet",
@@ -233,7 +242,7 @@ def build_parser() -> _Parser:
                    help="comma-separated positive weights summing to 1")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--q-cap", type=int, default=None)
-    _add_common(p)
+    _add_out(p)
     p.set_defaults(func=_cmd_dirichlet)
 
     return parser

@@ -1,11 +1,10 @@
 """Dense symmetric linear algebra and Perron-Frobenius utilities.
 
 Provides the matrix classes used everywhere else (symmetric matrices, sign
-matrices, simplex weight vectors, rank-n orthogonal projections, spectra,
-sign patterns) together with the spectral primitives: a deterministic
-symmetric eigensolver wrapper, Perron pairs of positive matrices, sign
-patterns with a zero threshold, projection validation, and absolute
-row-sum statistics.
+matrices, simplex weight vectors, rank-n orthogonal projections, spectra)
+together with the spectral primitives: a deterministic symmetric
+eigensolver wrapper, Perron pairs of positive matrices, sign matrices of
+thresholded signs, projection validation, and absolute row-sum statistics.
 
 All values are immutable after construction and safe to share across
 threads; every operation is a pure function of its inputs.
@@ -13,7 +12,7 @@ threads; every operation is a pure function of its inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -26,8 +25,7 @@ SIGN_ZERO_TOL = 1e-9
 DEFAULT_TOL = 1e-9
 
 # Above this dimension the Perron pair switches from a full eigensolve to
-# power iteration, and projection constructors switch to probe-based
-# idempotence checks.
+# power iteration.
 _DENSE_SPECTRUM_LIMIT = 512
 
 _POWER_RESIDUAL_TOL = 1e-12
@@ -115,36 +113,38 @@ class WeightVector:
 class OrthoProjection:
     """Symmetric idempotent d x d matrix of rank n.
 
-    Construct through :func:`validate_projection` for the full invariant
-    check with violation reporting; the constructor itself performs the
-    cheap checks (symmetry, idempotence, trace) so that internally built
-    projectors are still guarded.  For d above the dense-spectrum limit
-    idempotence is checked on random probe vectors instead of via a full
-    matrix product.
+    The constructor is the single check of the projection invariants; it
+    raises :class:`InvariantViolation` naming the worst violation.
+    Symmetry, idempotence and trace are checked on the input at ``tol``;
+    eigenvalue proximity to {0, 1} at ``10 * tol`` (matching the
+    1e-9 / 1e-8 default split) on the symmetrized input, which is what
+    is stored.
     """
 
     entries: np.ndarray
     n: int
+    tol: InitVar[float] = DEFAULT_TOL
 
-    def __post_init__(self):
-        p = _as_square_array(self.entries, "OrthoProjection")
-        tol = DEFAULT_TOL
-        sym = float(np.abs(p - p.T).max())
-        if sym > tol:
-            raise InvariantViolation("projection symmetry", sym)
-        if p.shape[0] <= _DENSE_SPECTRUM_LIMIT:
-            idem = float(np.abs(p @ p - p).max())
-        else:
-            rng = np.random.default_rng(0)
-            x = rng.standard_normal((p.shape[0], 8))
-            idem = float(np.abs(p @ (p @ x) - p @ x).max())
-        if idem > tol:
-            raise InvariantViolation("projection idempotence", idem)
-        tr = float(np.trace(p))
-        if abs(tr - self.n) > max(tol, 1e-9 * p.shape[0]):
-            raise InvariantViolation("projection trace equals rank",
-                                     abs(tr - self.n))
-        object.__setattr__(self, "entries", _freeze(p))
+    def __post_init__(self, tol):
+        a = _as_square_array(self.entries, "projection candidate")
+        n = self.n
+        if not (0 <= n <= a.shape[0]):
+            raise PreconditionError(f"rank {n} out of range for d={a.shape[0]}")
+        sym = 0.5 * (a + a.T)
+        evals = np.linalg.eigvalsh(sym)
+        eig_dev = float(np.abs(evals - np.round(evals)).max())
+        on_01 = float(np.max(np.minimum(np.abs(evals), np.abs(evals - 1.0))))
+        checks = [
+            ("symmetry", float(np.abs(a - a.T).max()), tol),
+            ("idempotence", float(np.abs(a @ a - a).max()), tol),
+            ("trace equals rank", abs(float(np.trace(a)) - n), tol),
+            ("eigenvalues in {0,1}", max(eig_dev, on_01), 10 * tol),
+        ]
+        worst = max(checks, key=lambda c: c[1] / c[2])
+        if worst[1] > worst[2]:
+            raise InvariantViolation(worst[0], worst[1],
+                                     detail=f"tolerance {worst[2]:g}")
+        object.__setattr__(self, "entries", _freeze(sym))
 
     @property
     def d(self) -> int:
@@ -188,32 +188,6 @@ class Spectrum:
     def reconstruct(self) -> np.ndarray:
         v = self.eigenvectors
         return (v * self.eigenvalues) @ v.T
-
-
-@dataclass(frozen=True, eq=False)
-class SignPattern:
-    """Matrix of {-1, 0, +1} entries from thresholded signs."""
-
-    entries: np.ndarray  # int8
-
-    def __post_init__(self):
-        a = np.asarray(self.entries, dtype=np.int8)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise PreconditionError("sign pattern must be square")
-        if not np.all(np.isin(a, (-1, 0, 1))):
-            raise InvariantViolation("sign pattern entries in {-1,0,+1}")
-        object.__setattr__(self, "entries", _freeze(a))
-
-    @property
-    def d(self) -> int:
-        return self.entries.shape[0]
-
-    def to_sign_matrix(self) -> SignMatrix:
-        """Replace zeros by +1 and return the completed sign matrix."""
-        a = np.where(self.entries == 0, 1, self.entries).astype(float)
-        a = np.minimum(a, a.T)  # keep symmetry if the source was asymmetric
-        np.fill_diagonal(a, 1.0)
-        return SignMatrix(a)
 
 
 def _entries_of(m) -> np.ndarray:
@@ -301,41 +275,24 @@ def perron(m) -> tuple[float, np.ndarray]:
     return rho, _freeze(v)
 
 
-def sign_pattern(a, tau: float = SIGN_ZERO_TOL) -> SignPattern:
-    """Thresholded sign pattern: -1 below -tau, 0 within [-tau, tau],
-    +1 above tau."""
+def sign_matrix_of(a, tau: float = SIGN_ZERO_TOL) -> SignMatrix:
+    """Sgn(a) as a sign matrix: +1 above tau and -1 below -tau, zeros
+    (entries within [-tau, tau]) replaced by +1, the diagonal set to +1.
+
+    An asymmetric input keeps the smaller sign of each pair, so the
+    result is symmetric.
+    """
     m = np.asarray(_entries_of(a), dtype=float)
-    out = np.zeros(m.shape, dtype=np.int8)
-    out[m > tau] = 1
-    out[m < -tau] = -1
-    return SignPattern(out)
+    s = _as_square_array(np.where(m < -tau, -1.0, 1.0), "sign matrix input")
+    s = np.minimum(s, s.T)
+    np.fill_diagonal(s, 1.0)
+    return SignMatrix(s)
 
 
 def validate_projection(p, n: int, tol: float = DEFAULT_TOL) -> OrthoProjection:
     """Check all orthogonal-projection invariants of ``p`` at tolerance
-    ``tol`` and return the typed value; raise naming the worst violation
-    otherwise.
-
-    Symmetry, idempotence and trace are checked at ``tol``; eigenvalue
-    proximity to {0, 1} at ``10 * tol`` (matching the 1e-9 / 1e-8 default
-    split).
-    """
-    a = _as_square_array(_entries_of(p), "projection candidate")
-    if not (0 <= n <= a.shape[0]):
-        raise PreconditionError(f"rank {n} out of range for d={a.shape[0]}")
-    checks: list[tuple[str, float, float]] = []
-    checks.append(("symmetry", float(np.abs(a - a.T).max()), tol))
-    checks.append(("idempotence", float(np.abs(a @ a - a).max()), tol))
-    checks.append(("trace equals rank", abs(float(np.trace(a)) - n), tol))
-    evals = np.linalg.eigvalsh(0.5 * (a + a.T))
-    eig_dev = float(np.abs(evals - np.round(evals)).max())
-    on_01 = float(np.max(np.minimum(np.abs(evals), np.abs(evals - 1.0))))
-    checks.append(("eigenvalues in {0,1}", max(eig_dev, on_01), 10 * tol))
-    worst = max(checks, key=lambda c: c[1] / c[2])
-    if worst[1] > worst[2]:
-        raise InvariantViolation(worst[0], worst[1],
-                                 detail=f"tolerance {worst[2]:g}")
-    return OrthoProjection(0.5 * (a + a.T), n)
+    ``tol`` and return the typed value; see :class:`OrthoProjection`."""
+    return OrthoProjection(_entries_of(p), n, tol)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,6 @@ decreases; fixed points are reported as converged.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -26,8 +25,8 @@ import numpy as np
 
 from .errors import GuardRefusal, PreconditionError
 from .eigsum import kyfan_sum
-from .matcore import (OrthoProjection, SIGN_ZERO_TOL, SignMatrix,
-                      WeightVector, matrix_to_json, perron, sign_pattern)
+from .matcore import (OrthoProjection, SignMatrix, WeightVector,
+                      matrix_to_json, perron, sign_matrix_of)
 
 EXHAUSTIVE_MAX_D = 7
 _RESTART_SEED = 20240913
@@ -94,7 +93,7 @@ def alternate_maximize(n: int, s0: SignMatrix, d0: WeightVector,
     for iterations in range(1, max_iter + 1):
         value, p = kyfan_sum(_weighted(s, w), n)
         history.append(value)
-        s_next = sign_pattern(p.entries, SIGN_ZERO_TOL).to_sign_matrix()
+        s_next = sign_matrix_of(p)
         if p.abs_is_positive():
             _, v = perron(p.abs_entries())
             w_next = v * v
@@ -191,17 +190,7 @@ def restart_weights(d: int, count: int, seed: int = _RESTART_SEED) -> list[Weigh
     return out
 
 
-def _optimize_class(n: int, s0: SignMatrix, starts: list[WeightVector],
-                    max_iter: int, tol: float) -> SearchResult:
-    best: SearchResult | None = None
-    for d0 in starts:
-        run = alternate_maximize(n, s0, d0, max_iter=max_iter, tol=tol)
-        if best is None or run.value > best.value:
-            best = run
-    return best
-
-
-def exhaustive_pi(n: int, d: int, restarts: int = 5, threads: int = 1,
+def exhaustive_pi(n: int, d: int, restarts: int = 5,
                   max_iter: int = 100, tol: float = 1e-11) -> SearchResult:
     """Maximize pi_n(sqrt(D) S sqrt(D)) over all sign matrices S of size d
     (one representative per isomorphism class) with the weights optimized
@@ -217,23 +206,17 @@ def exhaustive_pi(n: int, d: int, restarts: int = 5, threads: int = 1,
             candidates=2 ** (d * (d - 1) // 2))
     if not (1 <= n <= d):
         raise PreconditionError(f"n={n} out of range 1..{d}")
+    if restarts < 1:
+        raise PreconditionError("restarts must be >= 1")
     starts = restart_weights(d, restarts)
-    reps = _canonical_reps(d)
-
-    def job(code: int) -> SearchResult:
-        return _optimize_class(n, _decode(code, d), starts, max_iter, tol)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            runs = list(pool.map(job, reps))
-    else:
-        runs = [job(code) for code in reps]
-
     # Representatives are visited in ascending canonical order, which is
     # lexicographic on sign vectors, so keeping strict improvements makes
     # ties resolve to the lexicographically smallest candidate.
-    best = runs[0]
-    for run in runs[1:]:
-        if run.value > best.value:
-            best = run
+    best: SearchResult | None = None
+    for code in _canonical_reps(d):
+        s0 = _decode(code, d)
+        for d0 in starts:
+            run = alternate_maximize(n, s0, d0, max_iter=max_iter, tol=tol)
+            if best is None or run.value > best.value:
+                best = run
     return best

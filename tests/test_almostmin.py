@@ -76,10 +76,9 @@ class TestPipeline:
         sp = res.S.entries @ res.P.entries - res.P.entries @ res.S.entries
         assert np.abs(sp).max() <= 1e-8
         if res.P.abs_is_positive():
-            from projconst import sign_pattern
-            assert np.array_equal(
-                sign_pattern(res.P.entries).to_sign_matrix().entries,
-                res.S.entries)
+            from projconst import sign_matrix_of
+            assert np.array_equal(sign_matrix_of(res.P).entries,
+                                  res.S.entries)
 
     @pytest.mark.parametrize("name,n", [("hex3", 2), ("icosa6", 3),
                                         ("trivial1", 1)])

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from projconst.cli import main
 from projconst.matcore import matrix_to_json
@@ -122,6 +123,20 @@ def test_certify_seed(capsys):
     assert abs(cert["lower_bound"] - 4 / 3) <= 1e-9
 
 
+def test_certify_tol_is_the_validation_tolerance(tmp_path, capsys):
+    p = np.eye(3) - np.ones((3, 3)) / 3
+    p[0, 1] += 1e-7
+    p[1, 0] += 1e-7
+    path = tmp_path / "perturbed.json"
+    path.write_text(json.dumps(matrix_to_json(p)))
+    code, _, err = run_cli(capsys, "certify", "--seed", str(path))
+    assert code == 1
+    assert "idempotence" in err
+    code, _, _ = run_cli(capsys, "certify", "--seed", str(path),
+                         "--tol", "1e-6")
+    assert code == 0
+
+
 def test_eigsum_rotation(tmp_path, capsys):
     mat_file = tmp_path / "rot.json"
     mat_file.write_text(json.dumps(
@@ -172,6 +187,21 @@ def test_bad_flags(capsys):
     assert code == 1
     code, _, _ = run_cli(capsys, "nosuchcommand")
     assert code == 1
+    # flags are offered only where they are read
+    code, _, _ = run_cli(capsys, "relproj", "--threads", "2")
+    assert code == 1
+    code, _, _ = run_cli(capsys, "search", "--n", "2", "--d", "3",
+                         "--tol", "1e-6")
+    assert code == 1
+
+
+@pytest.mark.parametrize("mode", ["--exhaustive", "--alternating"])
+def test_search_rejects_nonpositive_restarts(capsys, mode):
+    code, out, err = run_cli(capsys, "search", "--n", "2", "--d", "4",
+                             mode, "--restarts", "0")
+    assert code == 1
+    assert out == ""
+    assert "restarts must be >= 1" in err
 
 
 def test_out_file_matches_stdout(tmp_path, capsys):

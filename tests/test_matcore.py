@@ -3,10 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from projconst import (InvariantViolation, PreconditionError,
-                       SignMatrix, SymMatrix, WeightVector, eig_sym,
-                       matrix_from_json, matrix_to_json, perron,
-                       row_sum_stats, sign_pattern, validate_projection)
+from projconst import (InvariantViolation, OrthoProjection,
+                       PreconditionError, SignMatrix, SymMatrix,
+                       WeightVector, eig_sym, matrix_from_json,
+                       matrix_to_json, perron, row_sum_stats, sign_matrix_of,
+                       validate_projection)
 from projconst.seeds import icosa6
 
 J3 = np.ones((3, 3))
@@ -115,22 +116,27 @@ class TestPerron:
 
 
 class TestSignPattern:
+    """Sgn(a) as built by sign_matrix_of."""
+
     def test_hex(self):
-        pat = sign_pattern(np.eye(3) - J3 / 3)
-        assert np.array_equal(pat.entries, 2 * np.eye(3) - J3)
+        s = sign_matrix_of(np.eye(3) - J3 / 3)
+        assert np.array_equal(s.entries, 2 * np.eye(3) - J3)
 
     def test_zero_matrix(self):
-        assert np.all(sign_pattern(np.zeros((2, 2))).entries == 0)
+        assert np.all(sign_matrix_of(np.zeros((2, 2))).entries == 1)
 
     def test_threshold(self):
-        pat = sign_pattern(np.array([[1e-12]]), tau=1e-9)
-        assert pat.entries[0, 0] == 0
-        pat = sign_pattern(np.array([[1e-12]]), tau=1e-13)
-        assert pat.entries[0, 0] == 1
+        a = np.array([[0.0, -1e-12], [-1e-12, 0.0]])
+        assert sign_matrix_of(a, tau=1e-9).entries[0, 1] == 1
+        assert sign_matrix_of(a, tau=1e-13).entries[0, 1] == -1
 
     def test_zero_completion(self):
-        s = sign_pattern(np.diag([1.0, -2.0])).to_sign_matrix()
+        s = sign_matrix_of(np.diag([1.0, -2.0]))
         assert np.array_equal(s.entries, np.array([[1.0, 1.0], [1.0, 1.0]]))
+
+    def test_asymmetric_input_keeps_smaller_sign(self):
+        s = sign_matrix_of(np.array([[1.0, -0.5], [0.5, 1.0]]))
+        assert np.array_equal(s.entries, 2 * np.eye(2) - np.ones((2, 2)))
 
 
 class TestValidateProjection:
@@ -144,6 +150,11 @@ class TestValidateProjection:
     def test_rejects_trace_mismatch(self):
         with pytest.raises(InvariantViolation) as err:
             validate_projection(J3 / 3, 2)
+        assert "trace" in str(err.value)
+
+    def test_constructor_checks_invariants(self):
+        with pytest.raises(InvariantViolation) as err:
+            OrthoProjection(J3 / 3, 2)
         assert "trace" in str(err.value)
 
     def test_rejects_non_idempotent(self):

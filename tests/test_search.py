@@ -4,7 +4,7 @@ import pytest
 from projconst import (GuardRefusal, PreconditionError, SignMatrix,
                        WeightVector, alternate_maximize, exhaustive_pi,
                        gruenbaum_floor, kyfan_sum, perron, pi_n_general,
-                       sign_pattern)
+                       sign_matrix_of)
 from projconst.search import _canonical_reps, restart_weights
 from projconst.seeds import C_ICOSA
 
@@ -85,7 +85,7 @@ class TestAlternateMaximize:
             sq = np.sqrt(w)
             a = s * sq[:, None] * sq[None, :]
             v0, p = kyfan_sum(a, n)
-            s1 = sign_pattern(p.entries).to_sign_matrix().entries
+            s1 = sign_matrix_of(p).entries
             t1 = np.trace((s1 * sq[:, None] * sq[None, :]) @ p.entries)
             assert t1 >= v0 - 1e-12
             if np.all(np.abs(p.entries) > 0):
@@ -182,9 +182,3 @@ class TestExhaustive:
             if val == -np.inf:
                 continue
             assert val <= cache[(n, d)] + 1e-8
-
-    def test_threads_agree_with_serial(self):
-        serial = exhaustive_pi(2, 4, threads=1)
-        parallel = exhaustive_pi(2, 4, threads=4)
-        assert serial.value == parallel.value
-        assert np.array_equal(serial.S.entries, parallel.S.entries)
