@@ -24,8 +24,8 @@ from .rationalize import RationalWeights, choose_k, dirichlet_approx
 from .relproj import (AttainmentResult, DualityWitness, SubspaceBasis,
                       attainment_check, min_projection_norm, nu1,
                       operator_norm, trace_certificate)
-from .search import (SearchResult, alternate_maximize, exhaustive_pi,
-                     gruenbaum_floor)
+from .search import (SearchResult, alternate_maximize, alternating_pi,
+                     exhaustive_pi, gruenbaum_floor)
 from .seeds import C_ICOSA, SEEDS, get_seed
 
 __version__ = "0.1.0"
@@ -39,10 +39,10 @@ __all__ = [
     "SEEDS", "SearchResult", "SignMatrix", "Spectrum",
     "SubspaceBasis", "SymMatrix", "WeightVector", "WitnessConstraintError",
     "WitnessNormalizationError", "almost_minimal", "alternate_maximize",
-    "attainment_check", "blow_up", "certify", "choose_k", "cucc_selection",
-    "dirichlet_approx", "eig_sym", "equality_case", "eta_of_eps",
-    "exhaustive_pi", "get_seed", "gruenbaum_floor", "kyfan_sum",
-    "lift_eigenvectors", "matrix_from_json", "matrix_to_json",
+    "alternating_pi", "attainment_check", "blow_up", "certify", "choose_k",
+    "cucc_selection", "dirichlet_approx", "eig_sym", "equality_case",
+    "eta_of_eps", "exhaustive_pi", "get_seed", "gruenbaum_floor",
+    "kyfan_sum", "lift_eigenvectors", "matrix_from_json", "matrix_to_json",
     "min_projection_norm", "nu1", "operator_norm", "perron", "pi_n_general",
     "row_sum_stats", "sign_matrix_of", "spectral_gap_bound",
     "trace_certificate", "validate_projection", "weighted_equivalent",

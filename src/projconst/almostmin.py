@@ -40,8 +40,8 @@ def eta_of_eps(n: int, eps: float) -> float:
     """Internal approximation budget min(1, (eps/32)^2) / sqrt(n)."""
     if n < 1:
         raise PreconditionError("n must be >= 1")
-    if eps <= 0:
-        raise PreconditionError("eps must be positive")
+    if not (math.isfinite(eps) and eps > 0):
+        raise PreconditionError("eps must be positive and finite")
     return min(1.0, (eps / 32.0) ** 2) / math.sqrt(n)
 
 
@@ -158,9 +158,7 @@ def _kyfan_via_lifting(spec: BlowupSpec, big: SignMatrix,
     return p
 
 
-def almost_minimal(n: int, eps: float, seed: OrthoProjection,
-                   q_cap: int = 10**6,
-                   max_refine: int = _MAX_REFINE) -> PipelineResult:
+def almost_minimal(n: int, eps: float, seed: OrthoProjection) -> PipelineResult:
     """Build a dimension d and a rank-n projection P in l1^d with nearly
     equal absolute row sums from the candidate maximizer ``seed``, and
     certify the result.
@@ -184,7 +182,7 @@ def almost_minimal(n: int, eps: float, seed: OrthoProjection,
     weights = weights / weights.sum()
     eps0 = float(weights.min())
     k = choose_k(n, m, eta, eps0)
-    rational = dirichlet_approx(weights, k, q_cap=min(q_cap, k ** max(m - 1, 1)))
+    rational = dirichlet_approx(weights, k)
     d = rational.q
     if d > _DENSE_SIZE_LIMIT:
         raise ResourceExhausted(
@@ -201,7 +199,7 @@ def almost_minimal(n: int, eps: float, seed: OrthoProjection,
 
     converged = False
     iterations = 0
-    for iterations in range(1, max_refine + 1):
+    for iterations in range(1, _MAX_REFINE + 1):
         s_next = sign_matrix_of(p)
         if np.array_equal(s_next.entries, s.entries):
             converged = True

@@ -16,11 +16,10 @@ import sys
 import numpy as np
 
 from . import almostmin, blowup, rationalize, relproj, search, seeds
-from .errors import (GuardRefusal, PreconditionError, ProjconstError,
-                     ResourceExhausted)
+from .errors import GuardRefusal, ProjconstError, ResourceExhausted
 from .eigsum import cucc_selection
-from .matcore import (SignMatrix, WeightVector, matrix_from_json,
-                      matrix_to_json, sign_matrix_of, validate_projection)
+from .matcore import (matrix_from_json, matrix_to_json, sign_matrix_of,
+                      validate_projection)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -79,21 +78,7 @@ def _cmd_search(args) -> int:
         result = search.exhaustive_pi(args.n, args.d, restarts=args.restarts)
         mode = "exhaustive"
     else:
-        if args.restarts < 1:
-            raise PreconditionError("restarts must be >= 1")
-        rng = np.random.default_rng(search._RESTART_SEED)
-        best = None
-        for _ in range(args.restarts):
-            upper = rng.integers(0, 2, size=(args.d, args.d))
-            s = np.triu(2.0 * upper - 1.0, 1)
-            s = s + s.T + np.eye(args.d)
-            w = rng.dirichlet(np.ones(args.d))
-            w = (w + 1e-3) / (1.0 + args.d * 1e-3)
-            run = search.alternate_maximize(args.n, SignMatrix(s),
-                                            WeightVector(w / w.sum()))
-            if best is None or run.value > best.value:
-                best = run
-        result = best
+        result = search.alternating_pi(args.n, args.d, restarts=args.restarts)
         mode = "alternating"
     _note(f"search n={args.n} d={args.d} ({mode}): value {result.value!r}, "
           f"converged={result.converged}")

@@ -153,15 +153,15 @@ class OrthoProjection:
     def abs_entries(self) -> np.ndarray:
         return np.abs(self.entries)
 
-    def abs_is_positive(self, tol: float = SIGN_ZERO_TOL) -> bool:
+    def abs_is_positive(self) -> bool:
         """True when every entry of |P| is strictly positive.
 
-        Entries at or below ``tol`` count as zeros, consistent with the
-        sign-pattern threshold; matrices that are positive only at
+        Entries at or below SIGN_ZERO_TOL count as zeros, consistent with
+        the sign-pattern threshold; matrices that are positive only at
         roundoff scale behave like reducible ones and must not reach the
         Perron machinery.
         """
-        return bool(np.all(np.abs(self.entries) > tol))
+        return bool(np.all(np.abs(self.entries) > SIGN_ZERO_TOL))
 
 
 @dataclass(frozen=True, eq=False)

@@ -65,6 +65,8 @@ def dirichlet_approx(weights, k: int, q_cap: int | None = None) -> RationalWeigh
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or w.size == 0:
         raise PreconditionError("weights must be a nonempty vector")
+    if not np.all(np.isfinite(w)):
+        raise PreconditionError("weights must be finite")
     if np.any(w <= 0):
         raise PreconditionError("weights must be strictly positive")
     if abs(float(w.sum()) - 1.0) > 1e-12:

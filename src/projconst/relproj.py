@@ -185,16 +185,21 @@ def trace_certificate(a, basis: SubspaceBasis, space: str) -> DualityWitness:
     """
     m = np.asarray(_entries_of(a), dtype=float)
     _check_space(space)
+    if m.shape != (basis.d, basis.d):
+        raise PreconditionError(
+            f"witness has shape {m.shape}, the subspace lives in "
+            f"dimension d={basis.d}")
     norm = nu1(m, space)
     if abs(norm - 1.0) > 1e-9:
         raise WitnessNormalizationError(
             f"nu1(A) = {norm:.12g}, expected 1 within 1e-9")
     p = basis.orthogonal_projection()
-    defect = float(np.abs(m @ p - p @ m @ p).max())
+    mp = m @ p
+    defect = float(np.abs(mp - p @ mp).max())
     if defect > 1e-8:
         raise WitnessConstraintError(
             f"AP = PAP violated by {defect:.3e} (tolerance 1e-8)")
-    return DualityWitness(m, space, float(np.trace(m @ p)))
+    return DualityWitness(m, space, float(np.trace(mp)))
 
 
 @dataclass(frozen=True, eq=False)

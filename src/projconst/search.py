@@ -2,10 +2,12 @@
 projection constant.
 
 The objective is pi_n(sqrt(D) S sqrt(D)) over sign matrices S and simplex
-weights D.  Exhaustive search enumerates one representative per graph
-isomorphism class of sign matrices (the objective is invariant under
-simultaneous row/column permutation) and optimizes the weights per
-representative with the alternating ascent:
+weights D.  Both searches run the alternating ascent from a list of
+(S, D) starts and keep the best run.  Exhaustive search starts from one
+representative per graph isomorphism class of sign matrices (the
+objective is invariant under simultaneous row/column permutation) with a
+fixed set of weight restarts; alternating search starts from seeded
+random sign matrices and weights.  The ascent:
 
   (i)   P  <- Ky Fan maximizer of sqrt(D) S sqrt(D),
   (ii)  S  <- sign pattern of P with zeros replaced by +1,
@@ -18,6 +20,7 @@ decreases; fixed points are reported as converged.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -30,6 +33,10 @@ from .matcore import (OrthoProjection, SignMatrix, WeightVector,
 
 EXHAUSTIVE_MAX_D = 7
 _RESTART_SEED = 20240913
+_RESTART_WEIGHT_FLOOR = 1e-3
+_EXHAUSTIVE_MAX_ITER = 100
+_ALTERNATING_MAX_ITER = 200
+_VALUE_TOL = 1e-11
 _FIXED_POINT_WEIGHT_TOL = 1e-12
 
 
@@ -71,7 +78,7 @@ def _weighted(s: SignMatrix, w: np.ndarray) -> np.ndarray:
 
 
 def alternate_maximize(n: int, s0: SignMatrix, d0: WeightVector,
-                       max_iter: int = 200, tol: float = 1e-11) -> SearchResult:
+                       max_iter: int = 200) -> SearchResult:
     """Alternating ascent from (s0, d0); see the module docstring for the
     update steps.  Non-convergence within max_iter is reported via
     converged=False, never raised."""
@@ -105,7 +112,7 @@ def alternate_maximize(n: int, s0: SignMatrix, d0: WeightVector,
         if same_signs and same_weights:
             converged = True
             break
-        if abs(value - prev_value) <= tol:
+        if abs(value - prev_value) <= _VALUE_TOL:
             converged = True
             break
         s, w, prev_value = s_next, w_next, value
@@ -177,21 +184,35 @@ def _decode(code: int, d: int) -> SignMatrix:
     return SignMatrix(s)
 
 
-def restart_weights(d: int, count: int, seed: int = _RESTART_SEED) -> list[WeightVector]:
+def _floored_dirichlet(rng: np.random.Generator, d: int) -> WeightVector:
+    """Flat Dirichlet draw lifted off the simplex boundary by a floor, so
+    every weight is strictly positive."""
+    w = rng.dirichlet(np.ones(d))
+    w = (w + _RESTART_WEIGHT_FLOOR) / (1.0 + d * _RESTART_WEIGHT_FLOOR)
+    return WeightVector(w / w.sum())
+
+
+def restart_weights(d: int, count: int) -> list[WeightVector]:
     """Deterministic weight restarts: uniform plus count-1 strictly
     positive pseudo-random simplex points from a fixed seed."""
-    out = [WeightVector(np.full(d, 1.0 / d))]
-    rng = np.random.default_rng(seed)
-    floor = 1e-3
-    for _ in range(max(count - 1, 0)):
-        w = rng.dirichlet(np.ones(d))
-        w = (w + floor) / (1.0 + d * floor)
-        out.append(WeightVector(w / w.sum()))
-    return out
+    rng = np.random.default_rng(_RESTART_SEED)
+    uniform = WeightVector(np.full(d, 1.0 / d))
+    return [uniform] + [_floored_dirichlet(rng, d) for _ in range(count - 1)]
 
 
-def exhaustive_pi(n: int, d: int, restarts: int = 5,
-                  max_iter: int = 100, tol: float = 1e-11) -> SearchResult:
+def _best_run(n: int, starts: Iterable[tuple[SignMatrix, WeightVector]],
+              max_iter: int) -> SearchResult:
+    """Best ascent over the (sign matrix, weights) starts.  Only a strict
+    improvement replaces the incumbent, so ties go to the earliest start."""
+    best: SearchResult | None = None
+    for s0, d0 in starts:
+        run = alternate_maximize(n, s0, d0, max_iter=max_iter)
+        if best is None or run.value > best.value:
+            best = run
+    return best
+
+
+def exhaustive_pi(n: int, d: int, restarts: int = 5) -> SearchResult:
     """Maximize pi_n(sqrt(D) S sqrt(D)) over all sign matrices S of size d
     (one representative per isomorphism class) with the weights optimized
     per representative by restarted alternation.
@@ -208,15 +229,28 @@ def exhaustive_pi(n: int, d: int, restarts: int = 5,
         raise PreconditionError(f"n={n} out of range 1..{d}")
     if restarts < 1:
         raise PreconditionError("restarts must be >= 1")
-    starts = restart_weights(d, restarts)
-    # Representatives are visited in ascending canonical order, which is
-    # lexicographic on sign vectors, so keeping strict improvements makes
-    # ties resolve to the lexicographically smallest candidate.
-    best: SearchResult | None = None
-    for code in _canonical_reps(d):
-        s0 = _decode(code, d)
-        for d0 in starts:
-            run = alternate_maximize(n, s0, d0, max_iter=max_iter, tol=tol)
-            if best is None or run.value > best.value:
-                best = run
-    return best
+    # Representatives come in ascending canonical order, which is
+    # lexicographic on sign vectors, so the earliest-start tie-break of
+    # _best_run picks the lexicographically smallest candidate.
+    reps = [_decode(code, d) for code in _canonical_reps(d)]
+    starts = itertools.product(reps, restart_weights(d, restarts))
+    return _best_run(n, starts, _EXHAUSTIVE_MAX_ITER)
+
+
+def alternating_pi(n: int, d: int, restarts: int = 5) -> SearchResult:
+    """Maximize pi_n(sqrt(D) S sqrt(D)) by alternation from ``restarts``
+    pseudo-random starts: a uniform random sign matrix of size d and
+    strictly positive simplex weights, drawn from a fixed seed.
+
+    A lower bound at any d; exhaustive_pi gives the exact value up to d = 7.
+    """
+    if restarts < 1:
+        raise PreconditionError("restarts must be >= 1")
+    rng = np.random.default_rng(_RESTART_SEED)
+    starts = []
+    for _ in range(restarts):
+        upper = rng.integers(0, 2, size=(d, d))
+        s = np.triu(2.0 * upper - 1.0, 1)
+        starts.append((SignMatrix(s + s.T + np.eye(d)),
+                       _floored_dirichlet(rng, d)))
+    return _best_run(n, starts, _ALTERNATING_MAX_ITER)

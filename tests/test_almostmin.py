@@ -23,6 +23,11 @@ class TestEta:
         with pytest.raises(PreconditionError):
             eta_of_eps(2, 0.0)
 
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf")])
+    def test_rejects_non_finite(self, eps):
+        with pytest.raises(PreconditionError):
+            eta_of_eps(2, eps)
+
 
 class TestCertify:
     def test_hexagon_all_equal(self):

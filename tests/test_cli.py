@@ -68,6 +68,15 @@ def test_almost_min_unknown_seed(capsys):
     assert "unknown seed" in err
 
 
+@pytest.mark.parametrize("eps", ["nan", "inf"])
+def test_almost_min_rejects_non_finite_eps(capsys, eps):
+    code, out, err = run_cli(capsys, "almost-min", "--n", "2", "--eps", eps,
+                             "--seed", "hex3")
+    assert code == 1
+    assert out == ""
+    assert "eps must be positive and finite" in err
+
+
 def test_relproj_hexagon(tmp_path, capsys):
     basis_file = tmp_path / "hex.json"
     basis_file.write_text(json.dumps(
@@ -180,6 +189,14 @@ def test_dirichlet_resource_error(capsys):
                            "--k", "1000000", "--q-cap", "10")
     assert code == 3
     assert "resource error" in err
+
+
+def test_dirichlet_rejects_nan_weight(capsys):
+    code, out, err = run_cli(capsys, "dirichlet", "--weights", "nan,0.5",
+                             "--k", "3")
+    assert code == 1
+    assert out == ""
+    assert "weights must be finite" in err
 
 
 def test_bad_flags(capsys):

@@ -43,6 +43,8 @@ class TestDirichletApprox:
             dirichlet_approx([0.5, 0.6], 5)
         with pytest.raises(PreconditionError):
             dirichlet_approx([1.0, 0.0], 5)
+        with pytest.raises(PreconditionError, match="finite"):
+            dirichlet_approx([np.nan, 0.5], 3)
 
     def test_resource_error_reports_best(self):
         with pytest.raises(ResourceExhausted) as err:

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from projconst import (InvariantViolation, SignMatrix, SubspaceBasis,
-                       WitnessConstraintError, WitnessNormalizationError,
+from projconst import (InvariantViolation, PreconditionError, SignMatrix,
+                       SubspaceBasis, WitnessConstraintError,
+                       WitnessNormalizationError,
                        attainment_check, eig_sym, min_projection_norm, nu1,
                        operator_norm, trace_certificate)
 from projconst.seeds import C_ICOSA, icosa6
@@ -115,6 +116,10 @@ class TestTraceCertificate:
         assert abs(nu1(a, "l1") - 1.0) <= 1e-12
         with pytest.raises(WitnessConstraintError):
             trace_certificate(a, HEX_BASIS, "l1")
+
+    def test_size_mismatch(self):
+        with pytest.raises(PreconditionError, match=r"\(4, 4\).*d=3"):
+            trace_certificate(np.eye(4) / 4, HEX_BASIS, "l1")
 
     def test_weak_duality_on_examples(self):
         for witness_mat, basis in (

@@ -1,10 +1,13 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 from projconst import (GuardRefusal, PreconditionError, SignMatrix,
-                       WeightVector, alternate_maximize, exhaustive_pi,
-                       gruenbaum_floor, kyfan_sum, perron, pi_n_general,
-                       sign_matrix_of)
+                       WeightVector, alternate_maximize, alternating_pi,
+                       exhaustive_pi, gruenbaum_floor, kyfan_sum, perron,
+                       pi_n_general, sign_matrix_of)
 from projconst.search import _canonical_reps, restart_weights
 from projconst.seeds import C_ICOSA
 
@@ -182,3 +185,21 @@ class TestExhaustive:
             if val == -np.inf:
                 continue
             assert val <= cache[(n, d)] + 1e-8
+
+
+class TestAlternating:
+    @pytest.mark.parametrize("n, d, restarts, digest", [
+        (2, 5, 4, "88943761012e8ca9806acdc2413f9fd5"
+                  "103472fb6d9517205a1e252a8dba0f5c"),
+        (3, 8, 6, "afcd6529809d04006282fa20db4bb11b"
+                  "6b686c9847d6f5686515731df83188fb"),
+    ])
+    def test_reproduces_cli_output(self, n, d, restarts, digest):
+        # sha256 of the stdout of
+        # `projconst search --alternating --n N --d D --restarts R`
+        text = json.dumps(alternating_pi(n, d, restarts).to_json(), indent=2)
+        assert hashlib.sha256((text + "\n").encode()).hexdigest() == digest
+
+    def test_rejects_zero_restarts(self):
+        with pytest.raises(PreconditionError):
+            alternating_pi(2, 4, 0)
