@@ -81,7 +81,9 @@ def _cmd_search(args) -> int:
         result = search.alternating_pi(args.n, args.d, restarts=args.restarts)
         mode = "alternating"
     _note(f"search n={args.n} d={args.d} ({mode}): value {result.value!r}, "
-          f"converged={result.converged}")
+          f"converged={result.converged}; {result.runs} ascent runs, "
+          f"{result.ascent_iterations} iterations, "
+          f"{result.nonconverged} not converged")
     _emit(result.to_json(), args.out)
     return EXIT_OK
 

@@ -47,6 +47,125 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+# ---------------------------------------------------------------------------
+# Invariant checks and spectral steps on stacks: each takes a (..., d, d)
+# stack (or a (..., d) stack of eigenvalues), so the constructors and
+# functions below apply them to one matrix and the batched search ascent
+# to all of its lanes at once.  Stacked matmul and LAPACK loops give every
+# matrix the same bits it gets on its own.  A failing stack raises the
+# error of its first failing matrix.
+
+def _check_signs(a: np.ndarray) -> None:
+    if not np.array_equal(a, a.swapaxes(-1, -2)):
+        raise InvariantViolation("sign matrix symmetry")
+    if not np.all(np.abs(a) == 1.0):
+        raise InvariantViolation("sign matrix entries in {-1,+1}")
+    if not np.all(np.diagonal(a, axis1=-2, axis2=-1) == 1.0):
+        raise InvariantViolation("sign matrix unit diagonal")
+
+
+def _check_descending(w: np.ndarray) -> None:
+    if np.any(np.diff(w, axis=-1) > 0):
+        raise InvariantViolation("eigenvalues sorted descending")
+
+
+_PROJECTION_CHECKS = ("symmetry", "idempotence", "trace equals rank",
+                      "eigenvalues in {0,1}")
+
+
+def _check_projections(a: np.ndarray, n: int, tol: float) -> np.ndarray:
+    """Check every (d, d) matrix of the (B, d, d) stack ``a`` against the
+    rank-n projection invariants of :class:`OrthoProjection` and return
+    the symmetrized stack.  A matrix fails on its worst violation
+    relative to its tolerance; a non-finite measure counts as failed."""
+    at = a.swapaxes(-1, -2)
+    sym = 0.5 * (a + at)
+    evals = np.linalg.eigvalsh(sym)
+    eig_dev = np.abs(evals - np.round(evals)).max(axis=-1)
+    on_01 = np.minimum(np.abs(evals), np.abs(evals - 1.0)).max(axis=-1)
+    measures = np.stack([
+        np.abs(a - at).max(axis=(-2, -1)),
+        np.abs(a @ a - a).max(axis=(-2, -1)),
+        np.abs(np.trace(a, axis1=-2, axis2=-1) - n),
+        np.maximum(eig_dev, on_01),
+    ], axis=-1)
+    tols = np.array([tol, tol, tol, 10 * tol])
+    worst = np.argmax(measures / tols, axis=-1)
+    lanes = np.arange(len(a))
+    failed = np.flatnonzero(~(measures[lanes, worst] <= tols[worst]))
+    if failed.size:
+        i = failed[0]
+        k = worst[i]
+        raise InvariantViolation(_PROJECTION_CHECKS[k], float(measures[i, k]),
+                                 detail=f"tolerance {tols[k]:g}")
+    return sym
+
+
+def _eigh_descending(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of the symmetrized stack ``m``, eigenvalues descending,
+    eigenvectors as columns with their first coordinate of magnitude
+    above 1e-9 positive."""
+    m = 0.5 * (m + m.swapaxes(-1, -2))
+    try:
+        w, v = np.linalg.eigh(m)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise NumericalError(f"symmetric eigensolver did not converge: {exc}")
+    w = w[..., ::-1].copy()
+    v = v[..., ::-1].copy()
+    lead = np.argmax(np.abs(v) > 1e-9, axis=-2)
+    first = np.take_along_axis(v, lead[..., None, :], axis=-2)
+    v *= np.where(first < 0, -1.0, 1.0)
+    return w, v
+
+
+def _perron_vectors(a: np.ndarray, rho: np.ndarray,
+                    v: np.ndarray) -> np.ndarray:
+    """Turn the eigenpairs (rho, v) of the strictly positive (B, d, d)
+    stack ``a`` into Perron vectors: flip each v to a positive sum, repair
+    entries that are not positive, normalize, and check the residual and
+    strict positivity."""
+    v = np.where(v.sum(axis=-1, keepdims=True) < 0, -v, v)
+    # One application of the positive matrix makes any nonnegative
+    # nonzero eigenvector strictly positive without changing it.
+    repair = np.any(v <= 0, axis=-1)
+    if repair.any():
+        v = np.where(repair[:, None], (a @ v[..., None])[..., 0], v)
+    v = v / np.sqrt(v[:, None, :] @ v[..., None])[..., 0]
+    r = (a @ v[..., None])[..., 0] - rho[:, None] * v
+    residual = np.sqrt(r[:, None, :] @ r[..., None])[:, 0, 0]
+    failed = np.flatnonzero(~(residual <= 1e-10))
+    if failed.size:
+        raise NumericalError(
+            f"Perron residual {residual[failed[0]]:.3e} exceeds 1e-10")
+    if np.any(v <= 0):
+        raise NumericalError("Perron vector is not strictly positive")
+    return v
+
+
+def _perron_pairs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Perron pairs of the strictly positive (B, d, d) stack ``a``: from
+    the full spectra up to d = 512, where ``a`` must be symmetric, and by
+    power iteration above."""
+    if a.shape[-1] > _DENSE_SPECTRUM_LIMIT:
+        pairs = [_power_iteration(m) for m in a]
+        rho = np.array([r for r, _ in pairs])
+        v = np.stack([x for _, x in pairs])
+    else:
+        w, vs = _eigh_descending(a)
+        _check_descending(w)
+        rho, v = w[:, 0], vs[..., 0]
+    return rho, _perron_vectors(a, rho, v)
+
+
+def _signs(m: np.ndarray, tau: float) -> np.ndarray:
+    """Sgn on a square stack; see :func:`sign_matrix_of`."""
+    s = np.where(m < -tau, -1.0, 1.0)
+    s = np.minimum(s, s.swapaxes(-1, -2))
+    diag = np.arange(s.shape[-1])
+    s[..., diag, diag] = 1.0
+    return s
+
+
 @dataclass(frozen=True, eq=False)
 class SymMatrix:
     """A real symmetric d x d matrix; construction symmetrizes exactly."""
@@ -71,12 +190,7 @@ class SignMatrix:
 
     def __post_init__(self):
         a = _as_square_array(self.entries, "SignMatrix")
-        if not np.array_equal(a, a.T):
-            raise InvariantViolation("sign matrix symmetry")
-        if not np.all(np.abs(a) == 1.0):
-            raise InvariantViolation("sign matrix entries in {-1,+1}")
-        if not np.all(np.diag(a) == 1.0):
-            raise InvariantViolation("sign matrix unit diagonal")
+        _check_signs(a)
         object.__setattr__(self, "entries", _freeze(a))
 
     @property
@@ -130,20 +244,7 @@ class OrthoProjection:
         n = self.n
         if not (0 <= n <= a.shape[0]):
             raise PreconditionError(f"rank {n} out of range for d={a.shape[0]}")
-        sym = 0.5 * (a + a.T)
-        evals = np.linalg.eigvalsh(sym)
-        eig_dev = float(np.abs(evals - np.round(evals)).max())
-        on_01 = float(np.max(np.minimum(np.abs(evals), np.abs(evals - 1.0))))
-        checks = [
-            ("symmetry", float(np.abs(a - a.T).max()), tol),
-            ("idempotence", float(np.abs(a @ a - a).max()), tol),
-            ("trace equals rank", abs(float(np.trace(a)) - n), tol),
-            ("eigenvalues in {0,1}", max(eig_dev, on_01), 10 * tol),
-        ]
-        worst = max(checks, key=lambda c: c[1] / c[2])
-        if worst[1] > worst[2]:
-            raise InvariantViolation(worst[0], worst[1],
-                                     detail=f"tolerance {worst[2]:g}")
+        sym = _check_projections(a[None], n, tol)[0]
         object.__setattr__(self, "entries", _freeze(sym))
 
     @property
@@ -176,8 +277,7 @@ class Spectrum:
         v = np.asarray(self.eigenvectors, dtype=float)
         if w.ndim != 1 or v.shape != (w.size, w.size):
             raise PreconditionError("spectrum shape mismatch")
-        if np.any(np.diff(w) > 0):
-            raise InvariantViolation("eigenvalues sorted descending")
+        _check_descending(w)
         object.__setattr__(self, "eigenvalues", _freeze(w))
         object.__setattr__(self, "eigenvectors", _freeze(v))
 
@@ -204,19 +304,7 @@ def eig_sym(a) -> Spectrum:
     positive, which makes every downstream search reproducible.
     """
     m = _as_square_array(_entries_of(a), "eig_sym input")
-    m = 0.5 * (m + m.T)
-    try:
-        w, v = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NumericalError(f"symmetric eigensolver did not converge: {exc}")
-    w = w[::-1].copy()
-    v = v[:, ::-1].copy()
-    # Deterministic sign convention: first sufficiently-nonzero coordinate
-    # of each eigenvector is positive.
-    lead = np.argmax(np.abs(v) > 1e-9, axis=0)
-    flip = v[lead, np.arange(v.shape[1])] < 0
-    v[:, flip] *= -1.0
-    return Spectrum(w, v)
+    return Spectrum(*_eigh_descending(m))
 
 
 def _power_iteration(m: np.ndarray) -> tuple[float, np.ndarray]:
@@ -247,32 +335,14 @@ def perron(m) -> tuple[float, np.ndarray]:
     a = _as_square_array(_entries_of(m), "perron input")
     if not np.all(a > 0):
         raise PreconditionError("perron requires a strictly positive matrix")
-    d = a.shape[0]
-    if d <= _DENSE_SPECTRUM_LIMIT:
-        if np.array_equal(a, a.T):
-            spec = eig_sym(a)
-            rho = float(spec.eigenvalues[0])
-            v = spec.eigenvectors[:, 0].copy()
-        else:
-            w, vs = np.linalg.eig(a)
-            i = int(np.argmax(w.real))
-            rho = float(w[i].real)
-            v = vs[:, i].real.copy()
-        if v.sum() < 0:
-            v = -v
+    if a.shape[0] <= _DENSE_SPECTRUM_LIMIT and not np.array_equal(a, a.T):
+        w, vs = np.linalg.eig(a)
+        i = int(np.argmax(w.real))
+        rho = w[i:i + 1].real
+        v = _perron_vectors(a[None], rho, vs[None, :, i].real)
     else:
-        rho, v = _power_iteration(a)
-    if np.any(v <= 0):
-        # One application of the positive matrix makes any nonnegative
-        # nonzero eigenvector strictly positive without changing it.
-        v = a @ v
-    v = v / float(np.linalg.norm(v))
-    residual = float(np.linalg.norm(a @ v - rho * v))
-    if residual > 1e-10:
-        raise NumericalError(f"Perron residual {residual:.3e} exceeds 1e-10")
-    if np.any(v <= 0):
-        raise NumericalError("Perron vector is not strictly positive")
-    return rho, _freeze(v)
+        rho, v = _perron_pairs(a[None])
+    return float(rho[0]), _freeze(v[0])
 
 
 def sign_matrix_of(a, tau: float = SIGN_ZERO_TOL) -> SignMatrix:
@@ -283,10 +353,10 @@ def sign_matrix_of(a, tau: float = SIGN_ZERO_TOL) -> SignMatrix:
     result is symmetric.
     """
     m = np.asarray(_entries_of(a), dtype=float)
-    s = _as_square_array(np.where(m < -tau, -1.0, 1.0), "sign matrix input")
-    s = np.minimum(s, s.T)
-    np.fill_diagonal(s, 1.0)
-    return SignMatrix(s)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise PreconditionError(
+            f"sign matrix input must be square, got shape {m.shape}")
+    return SignMatrix(_signs(m, tau))
 
 
 def validate_projection(p, n: int, tol: float = DEFAULT_TOL) -> OrthoProjection:

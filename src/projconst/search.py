@@ -15,6 +15,16 @@ random sign matrices and weights.  The ascent:
 
 Each step maximizes the same bilinear functional, so the objective never
 decreases; fixed points are reported as converged.
+
+One batched kernel, ``_ascend``, runs the ascent for all B starts of a
+search at once: the signs are a (B, d, d) stack and the weights a (B, d)
+stack.  An iteration makes one batched ``eigh`` for the Ky Fan step, one
+stacked projection check, one batched Perron solve on the lanes whose |P|
+is strictly positive, and vectorized sign and weight updates; lanes that
+converge leave the batch.  The stacked steps live in ``matcore`` beside
+the one-matrix functions that use them, and every lane gets the same bits
+as its start run alone, so results do not depend on the batch.
+``alternate_maximize`` is the kernel at B = 1.
 """
 
 from __future__ import annotations
@@ -23,13 +33,15 @@ import itertools
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import GuardRefusal, PreconditionError
-from .eigsum import kyfan_sum
-from .matcore import (OrthoProjection, SignMatrix, WeightVector,
-                      matrix_to_json, perron, sign_matrix_of)
+from .matcore import (DEFAULT_TOL, SIGN_ZERO_TOL, OrthoProjection, SignMatrix,
+                      WeightVector, _check_descending, _check_projections,
+                      _check_signs, _eigh_descending, _perron_pairs,
+                      _signs, matrix_to_json)
 
 EXHAUSTIVE_MAX_D = 7
 _RESTART_SEED = 20240913
@@ -52,6 +64,10 @@ class SearchResult:
     iterations: int
     converged: bool
     history: tuple[float, ...]
+    # Counted over every start of the search that produced this result.
+    runs: int
+    ascent_iterations: int
+    nonconverged: int
 
     def to_json(self) -> dict:
         return {
@@ -72,52 +88,104 @@ def gruenbaum_floor(n: int) -> float:
     return float(np.sqrt(2.0 / np.pi) * np.sqrt(n))
 
 
-def _weighted(s: SignMatrix, w: np.ndarray) -> np.ndarray:
-    sq = np.sqrt(w)
-    return s.entries * sq[:, None] * sq[None, :]
-
-
 def alternate_maximize(n: int, s0: SignMatrix, d0: WeightVector,
                        max_iter: int = 200) -> SearchResult:
     """Alternating ascent from (s0, d0); see the module docstring for the
     update steps.  Non-convergence within max_iter is reported via
     converged=False, never raised."""
-    if not (1 <= n <= s0.d):
-        raise PreconditionError(f"n={n} out of range 1..{s0.d}")
-    if d0.d != s0.d:
+    return _ascend(n, s0.entries[None], d0.w[None], max_iter).result(0)
+
+
+class _Lanes(NamedTuple):
+    """Per-lane outcome of :func:`_ascend`: final (S, D), the value and
+    maximizer P of the last step, and each lane's value history (NaN
+    past its last iteration)."""
+
+    n: int
+    value: np.ndarray        # (B,)
+    s: np.ndarray            # (B, d, d)
+    w: np.ndarray            # (B, d)
+    p: np.ndarray            # (B, d, d)
+    iterations: np.ndarray   # (B,)
+    converged: np.ndarray    # (B,)
+    history: np.ndarray      # (B, max_iter)
+
+    def result(self, i: int) -> SearchResult:
+        """Lane i as a checked result, with the counters of all lanes."""
+        k = int(self.iterations[i])
+        return SearchResult(
+            SignMatrix(self.s[i]), WeightVector(self.w[i]),
+            float(self.value[i]), OrthoProjection(self.p[i], self.n), k,
+            bool(self.converged[i]), tuple(map(float, self.history[i, :k])),
+            runs=len(self.value),
+            ascent_iterations=int(self.iterations.sum()),
+            nonconverged=int(np.count_nonzero(~self.converged)))
+
+
+def _ascend(n: int, s: np.ndarray, w: np.ndarray, max_iter: int) -> _Lanes:
+    """Run the alternating ascent from every lane of the (B, d, d) sign
+    stack ``s`` and the (B, d) weight stack ``w`` together.
+
+    Each iteration takes one batched step for the lanes still running
+    and drops those that reached a fixed point or stopped improving.
+    The steps are the per-matrix ones of kyfan_sum, sign_matrix_of and
+    perron, with the same checks, on stacks; every lane gets the bits it
+    gets alone.
+    """
+    b, d = s.shape[0], s.shape[-1]
+    if not (1 <= n <= d):
+        raise PreconditionError(f"n={n} out of range 1..{d}")
+    if w.shape[-1] != d:
         raise PreconditionError("weight dimension does not match sign matrix")
-    if not d0.is_strictly_positive():
+    if not np.all(w > 0):
         raise PreconditionError("initial weights must be strictly positive")
     if max_iter < 1:
         raise PreconditionError("max_iter must be >= 1")
 
-    s, w = s0, np.asarray(d0.w, dtype=float)
-    history: list[float] = []
-    prev_value = -np.inf
-    converged = False
-    iterations = 0
-    value, p = 0.0, None
-    for iterations in range(1, max_iter + 1):
-        value, p = kyfan_sum(_weighted(s, w), n)
-        history.append(value)
-        s_next = sign_matrix_of(p)
-        if p.abs_is_positive():
-            _, v = perron(p.abs_entries())
-            w_next = v * v
-            w_next = w_next / w_next.sum()
-        else:
-            w_next = w
-        same_signs = np.array_equal(s_next.entries, s.entries)
-        same_weights = float(np.abs(w_next - w).max()) <= _FIXED_POINT_WEIGHT_TOL
-        if same_signs and same_weights:
-            converged = True
+    out = _Lanes(n, np.empty(b), np.empty((b, d, d)), np.empty((b, d)),
+                 np.empty((b, d, d)), np.zeros(b, dtype=int),
+                 np.zeros(b, dtype=bool), np.full((b, max_iter), np.nan))
+    lanes = np.arange(b)
+    prev = np.full(b, -np.inf)
+    for it in range(max_iter):
+        sq = np.sqrt(w)
+        evals, evecs = _eigh_descending(s * sq[:, :, None] * sq[:, None, :])
+        _check_descending(evals)
+        value = evals[:, :n].sum(axis=1)
+        top = evecs[:, :, :n]
+        p = _check_projections(top @ top.swapaxes(1, 2), n, DEFAULT_TOL)
+        out.history[lanes, it] = value
+
+        s_next = _signs(p, SIGN_ZERO_TOL)
+        _check_signs(s_next)
+        w_next = w.copy()
+        positive = np.all(np.abs(p) > SIGN_ZERO_TOL, axis=(1, 2))
+        if positive.any():
+            _, v = _perron_pairs(np.abs(p[positive]))
+            v = v * v
+            w_next[positive] = v / v.sum(axis=1, keepdims=True)
+
+        fixed = (np.all(s_next == s, axis=(1, 2))
+                 & (np.abs(w_next - w).max(axis=1)
+                    <= _FIXED_POINT_WEIGHT_TOL))
+        done = fixed | (np.abs(value - prev) <= _VALUE_TOL)
+        stop = done | (it == max_iter - 1)
+        # A converged lane reports the (S, D) it stepped from; a lane out
+        # of iterations reports its last update.
+        fin = lanes[stop]
+        conv = done[stop]
+        out.value[fin] = value[stop]
+        out.p[fin] = p[stop]
+        out.iterations[fin] = it + 1
+        out.converged[fin] = conv
+        out.s[fin] = np.where(conv[:, None, None], s[stop], s_next[stop])
+        out.w[fin] = np.where(conv[:, None], w[stop], w_next[stop])
+
+        go = ~stop
+        lanes, s, w, prev = lanes[go], s_next[go], w_next[go], value[go]
+        if not lanes.size:
             break
-        if abs(value - prev_value) <= _VALUE_TOL:
-            converged = True
-            break
-        s, w, prev_value = s_next, w_next, value
-    return SearchResult(s, WeightVector(w), value, p, iterations, converged,
-                        tuple(history))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -202,14 +270,13 @@ def restart_weights(d: int, count: int) -> list[WeightVector]:
 
 def _best_run(n: int, starts: Iterable[tuple[SignMatrix, WeightVector]],
               max_iter: int) -> SearchResult:
-    """Best ascent over the (sign matrix, weights) starts.  Only a strict
-    improvement replaces the incumbent, so ties go to the earliest start."""
-    best: SearchResult | None = None
-    for s0, d0 in starts:
-        run = alternate_maximize(n, s0, d0, max_iter=max_iter)
-        if best is None or run.value > best.value:
-            best = run
-    return best
+    """Best ascent over the (sign matrix, weights) starts, all stepped
+    together.  The first maximal value wins, so ties go to the earliest
+    start."""
+    signs, weights = zip(*starts)
+    lanes = _ascend(n, np.stack([s0.entries for s0 in signs]),
+                    np.stack([d0.w for d0 in weights]), max_iter)
+    return lanes.result(int(np.argmax(lanes.value)))
 
 
 def exhaustive_pi(n: int, d: int, restarts: int = 5) -> SearchResult:
@@ -246,6 +313,8 @@ def alternating_pi(n: int, d: int, restarts: int = 5) -> SearchResult:
     """
     if restarts < 1:
         raise PreconditionError("restarts must be >= 1")
+    if not (1 <= n <= d):
+        raise PreconditionError(f"n={n} out of range 1..d (d={d})")
     rng = np.random.default_rng(_RESTART_SEED)
     starts = []
     for _ in range(restarts):

@@ -21,6 +21,8 @@ def test_search_exhaustive_hexagon(capsys):
     assert abs(data["value"] - 4 / 3) <= 1e-9
     assert data["converged"] is True
     assert "value" in err  # summary goes to stderr
+    # 4 classes x 5 weight restarts
+    assert "20 ascent runs, 150 iterations, 0 not converged" in err
 
 
 def test_search_trivial(capsys):
@@ -219,6 +221,15 @@ def test_search_rejects_nonpositive_restarts(capsys, mode):
     assert code == 1
     assert out == ""
     assert "restarts must be >= 1" in err
+
+
+@pytest.mark.parametrize("d", ["0", "-1"])
+def test_search_alternating_rejects_bad_d(capsys, d):
+    code, out, err = run_cli(capsys, "search", "--n", "2", "--d", d,
+                             "--alternating")
+    assert code == 1
+    assert out == ""
+    assert f"n=2 out of range 1..d (d={d})" in err
 
 
 def test_out_file_matches_stdout(tmp_path, capsys):

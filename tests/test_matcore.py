@@ -8,6 +8,7 @@ from projconst import (InvariantViolation, OrthoProjection,
                        WeightVector, eig_sym, matrix_from_json,
                        matrix_to_json, perron, row_sum_stats, sign_matrix_of,
                        validate_projection)
+from projconst.matcore import _check_projections
 from projconst.seeds import icosa6
 
 J3 = np.ones((3, 3))
@@ -160,6 +161,23 @@ class TestValidateProjection:
     def test_rejects_non_idempotent(self):
         with pytest.raises(InvariantViolation):
             validate_projection(0.5 * np.eye(3), 1)
+
+    def test_stack_reports_first_failing_lane(self):
+        # lanes: a valid rank-2 projection, then diag(1, 1/2, 1/2) (trace
+        # 2, symmetric, idempotence its worst violation), then the identity
+        # (trace 3); the earliest failing lane names the invariant
+        good = np.eye(3) - J3 / 3
+        lazy = np.diag([1.0, 0.5, 0.5])
+        full = np.eye(3)
+        sym = _check_projections(np.stack([good, good]), 2, 1e-9)
+        assert np.array_equal(sym[1], hex_projection().entries)
+        with pytest.raises(InvariantViolation) as err:
+            _check_projections(np.stack([good, lazy, full]), 2, 1e-9)
+        assert err.value.invariant == "idempotence"
+        assert err.value.violation == 0.25
+        with pytest.raises(InvariantViolation) as err:
+            _check_projections(np.stack([good, full, lazy]), 2, 1e-9)
+        assert err.value.invariant == "trace equals rank"
 
     def test_trace_equals_eigenvalue_one_multiplicity(self):
         rng = np.random.default_rng(5)

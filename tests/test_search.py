@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 
@@ -8,15 +9,50 @@ from projconst import (GuardRefusal, PreconditionError, SignMatrix,
                        WeightVector, alternate_maximize, alternating_pi,
                        exhaustive_pi, gruenbaum_floor, kyfan_sum, perron,
                        pi_n_general, sign_matrix_of)
-from projconst.search import _canonical_reps, restart_weights
+from projconst.search import (_ascend, _canonical_reps, _decode,
+                              restart_weights)
 from projconst.seeds import C_ICOSA
 
 PHI = (1 + np.sqrt(5)) / 2
 HEX_S = 2 * np.eye(3) - np.ones((3, 3))
 
+# sha256 of the stdout of
+# `projconst search --exhaustive --n N --d D --restarts R`, recorded before
+# the ascent was batched.
+EXHAUSTIVE_DIGESTS = {
+    (2, 3, 5): "55d1cbea6144f60bdcaf795d7380b4b0"
+               "4abd9e7573ec8f76f2b77c3547c5a8f5",
+    (1, 4, 5): "e059a23a0524917285ac39b06ac910c0"
+               "af617d6c4b1cb8d1edc2d6434d142926",
+    (2, 4, 5): "7a438525c42494f194ed33c02b6ff984"
+               "3be8ee42703829048eee0470e50feca7",
+    (3, 4, 5): "9ff49a7e04791fb066eb5e7bef5609df"
+               "7eb4e10a222fcb90662a739c15783b67",
+    (2, 5, 5): "6bb343f9e263792a200bf0ef2d585c3a"
+               "0e44b27b618812c4ef77b97182647833",
+    (3, 5, 5): "a7926c2f84970be26aea4673387c6921"
+               "543092949d232036099d36d80b385c2f",
+    (4, 5, 5): "9479a6662368b41f936ddea985f4f5de"
+               "4a19010e0e69c60519cf544b435c0568",
+    (3, 6, 5): "fd34a7d57f16e76afd3f42384d874937"
+               "f8ed20e4400bbae20024a6c9fba07d94",
+    (1, 7, 1): "2ee4e12bd50810c8cbed25dfc5d1d0ef"
+               "9237ecd8fc3a5b623baf2f68beabe33c",
+}
+
 
 def uniform(d):
     return WeightVector(np.full(d, 1.0 / d))
+
+
+@functools.lru_cache(maxsize=None)
+def exhaustive_cached(n, d, restarts):
+    return exhaustive_pi(n, d, restarts)
+
+
+def cli_digest(result):
+    text = json.dumps(result.to_json(), indent=2)
+    return hashlib.sha256((text + "\n").encode()).hexdigest()
 
 
 class TestGruenbaumFloor:
@@ -119,8 +155,9 @@ class TestAlternateMaximize:
 
 class TestCanonicalEnumeration:
     def test_class_counts(self):
-        # numbers of graphs on 1..6 unlabeled vertices
-        for d, count in ((1, 1), (2, 2), (3, 4), (4, 11), (5, 34), (6, 156)):
+        # numbers of graphs on 1..7 unlabeled vertices
+        for d, count in ((1, 1), (2, 2), (3, 4), (4, 11), (5, 34), (6, 156),
+                         (7, 1044)):
             assert len(_canonical_reps(d)) == count
 
     def test_restart_weights_deterministic(self):
@@ -147,6 +184,21 @@ class TestExhaustive:
         with pytest.raises(GuardRefusal) as err:
             exhaustive_pi(2, 9)
         assert err.value.candidates == 2 ** 36
+
+    @pytest.mark.parametrize("n, d, restarts", list(EXHAUSTIVE_DIGESTS))
+    def test_reproduces_cli_output(self, n, d, restarts):
+        result = exhaustive_cached(n, d, restarts)
+        assert cli_digest(result) == EXHAUSTIVE_DIGESTS[n, d, restarts]
+
+    def test_counters_cover_every_start(self):
+        # one ascent run per (class representative, weight restart); the
+        # totals are those of the per-start search before batching
+        results = [exhaustive_cached(*key) for key in EXHAUSTIVE_DIGESTS]
+        assert sum(r.runs for r in results) == 2519
+        assert sum(r.ascent_iterations for r in results) == 21810
+        assert sum(r.nonconverged for r in results) == 0
+        hexagon = exhaustive_cached(3, 6, 5)
+        assert (hexagon.runs, hexagon.ascent_iterations) == (780, 13994)
 
     def test_dominates_alternating(self):
         rng = np.random.default_rng(16)
@@ -197,9 +249,40 @@ class TestAlternating:
     def test_reproduces_cli_output(self, n, d, restarts, digest):
         # sha256 of the stdout of
         # `projconst search --alternating --n N --d D --restarts R`
-        text = json.dumps(alternating_pi(n, d, restarts).to_json(), indent=2)
-        assert hashlib.sha256((text + "\n").encode()).hexdigest() == digest
+        assert cli_digest(alternating_pi(n, d, restarts)) == digest
 
     def test_rejects_zero_restarts(self):
         with pytest.raises(PreconditionError):
             alternating_pi(2, 4, 0)
+
+    @pytest.mark.parametrize("n, d", [(2, 0), (2, -1), (5, 4), (0, 3)])
+    def test_rejects_n_outside_1_to_d(self, n, d):
+        with pytest.raises(PreconditionError, match=f"n={n} .*d={d}"):
+            alternating_pi(n, d)
+
+
+class TestAscentKernel:
+    @pytest.mark.parametrize("max_iter", [3, 100])
+    def test_lanes_match_single_runs(self, max_iter):
+        # every (class, restart) start at d = 5 stepped as one batch gives
+        # each lane the bits of its start run alone; at max_iter = 3 the
+        # batch mixes converged lanes with lanes that ran out of iterations
+        n, d = 2, 5
+        starts = [(_decode(code, d), w) for code in _canonical_reps(d)
+                  for w in restart_weights(d, 5)]
+        lanes = _ascend(n, np.stack([s.entries for s, _ in starts]),
+                        np.stack([w.w for _, w in starts]), max_iter)
+        if max_iter == 3:
+            assert 0 < np.count_nonzero(lanes.converged) < len(starts)
+        for i, (s0, d0) in enumerate(starts):
+            alone = alternate_maximize(n, s0, d0, max_iter=max_iter)
+            k = alone.iterations
+            assert lanes.iterations[i] == k
+            assert lanes.converged[i] == alone.converged
+            assert lanes.value[i] == alone.value
+            assert np.array_equal(lanes.history[i, :k], alone.history)
+            assert np.all(np.isnan(lanes.history[i, k:]))
+            assert np.array_equal(lanes.s[i], alone.S.entries)
+            assert np.array_equal(lanes.w[i], alone.D.w)
+            assert np.array_equal(lanes.p[i], alone.P.entries)
+        assert lanes.result(0).runs == len(starts)
