@@ -1,12 +1,11 @@
 """Dense two-phase primal simplex.
 
-Minimizes c @ x subject to A_eq x = b_eq, A_ub x <= b_ub, x >= 0.  The
-tableau is refactorized from the original data at every pivot, so pivot
-decisions always see fresh numbers and the basis cannot drift into
-silent singularity; at the problem sizes in this package (d <= 20
-subspace instances) the extra dense solves are cheap.  Default pricing
-is Dantzig's most-negative reduced cost with the leaving row picked
-among minimum-ratio rows by largest pivot element; after a long run of
+Minimizes c @ x subject to A_eq x = b_eq, A_ub x <= b_ub, x >= 0.  A
+pivot only swaps the basis; the tableau is then refactorized from the
+original data, so pivot decisions always see fresh numbers and the basis
+cannot drift into silent singularity.  Default pricing is Dantzig's
+most-negative reduced cost with the leaving row picked among
+minimum-ratio rows by largest pivot element; after a long run of
 degenerate pivots both choices switch to Bland's smallest-index
 anti-cycling rule, whose finiteness guarantee breaks any cycle, and
 revert once the objective moves again.  Feasibility and optimality
@@ -23,7 +22,6 @@ from .errors import NumericalError
 
 _TOL = 1e-9
 _MAX_PIVOTS = 200_000
-_REFRESH_EVERY = 1
 _DEGENERATE_STALL = 64  # consecutive zero-step pivots before Bland mode
 
 
@@ -66,15 +64,11 @@ class _Tableau:
         x[self.basis] = np.maximum(self.t[:, -1], 0.0)
         return x[:nvars]
 
-    def pivot(self, row: int, col: int) -> None:
-        self.t[row] /= self.t[row, col]
-        factors = self.t[:, col].copy()
-        factors[row] = 0.0
-        self.t -= np.outer(factors, self.t[row])
-        self.cost = self.cost - self.cost[col] * self.t[row]
+    def pivot(self, row: int, col: int, cost_full: np.ndarray) -> None:
         self.in_basis[self.basis[row]] = False
         self.in_basis[col] = True
         self.basis[row] = col
+        self.refactor(cost_full)
 
 
 def _entering(tab: _Tableau, ncols: int, bland: bool) -> int:
@@ -104,7 +98,6 @@ def _leaving(tab: _Tableau, entering: int, bland: bool) -> int:
 def _run_phase(tab: _Tableau, cost_full: np.ndarray, ncols: int,
                iterations: int) -> int:
     tab.refactor(cost_full)
-    since_refresh = 0
     degenerate_run = 0
     while True:
         bland = degenerate_run >= _DEGENERATE_STALL
@@ -113,22 +106,11 @@ def _run_phase(tab: _Tableau, cost_full: np.ndarray, ncols: int,
             return iterations
         leave = _leaving(tab, entering, bland)
         if leave < 0:
-            # Verify against a fresh factorization before trusting the ray.
-            tab.refactor(cost_full)
-            entering = _entering(tab, ncols, bland)
-            if entering < 0:
-                return iterations
-            leave = _leaving(tab, entering, bland)
-            if leave < 0:
-                raise NumericalError("LP is unbounded")
+            raise NumericalError("LP is unbounded")
         step = max(tab.t[leave, -1], 0.0) / tab.t[leave, entering]
         degenerate_run = degenerate_run + 1 if step <= 1e-12 else 0
-        tab.pivot(leave, entering)
+        tab.pivot(leave, entering, cost_full)
         iterations += 1
-        since_refresh += 1
-        if since_refresh >= _REFRESH_EVERY:
-            tab.refactor(cost_full)
-            since_refresh = 0
         if iterations > _MAX_PIVOTS:
             raise NumericalError("simplex pivot cap exceeded")
 
@@ -186,15 +168,14 @@ def solve_lp(c, a_eq=None, b_eq=None, a_ub=None, b_ub=None) -> LpResult:
         raise NumericalError(
             f"LP infeasible (phase-1 objective {tab.objective():.3e})")
 
-    # Drive artificials out of the basis on fresh data; unremovable ones
-    # sit in redundant rows at level zero and stay priced out of phase 2.
-    tab.refactor(phase1_cost)
+    # Drive artificials out of the basis; unremovable ones sit in
+    # redundant rows at level zero and stay priced out of phase 2.
     for i in range(m):
         if tab.basis[i] >= ncols:
             row = tab.t[i, :ncols]
             free = np.nonzero((np.abs(row) > 1e-7) & ~tab.in_basis[:ncols])[0]
             if free.size:
-                tab.pivot(i, int(free[0]))
+                tab.pivot(i, int(free[0]), phase1_cost)
 
     phase2_cost = np.zeros(ncols + m)
     phase2_cost[:nvars] = c

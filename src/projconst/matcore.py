@@ -352,10 +352,7 @@ def sign_matrix_of(a, tau: float = SIGN_ZERO_TOL) -> SignMatrix:
     An asymmetric input keeps the smaller sign of each pair, so the
     result is symmetric.
     """
-    m = np.asarray(_entries_of(a), dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise PreconditionError(
-            f"sign matrix input must be square, got shape {m.shape}")
+    m = _as_square_array(_entries_of(a), "sign matrix input")
     return SignMatrix(_signs(m, tau))
 
 

@@ -2,11 +2,13 @@
 
 The minimal operator norm of a projection of l1^d (or linf^d) onto a
 subspace E = range(V) is a linear program: every projection with range E
-factors as Q = V M with M V = I_n, the entrywise absolute values are
-linearized with auxiliary variables, and the max column (row) absolute
-sum becomes a single bound variable.  Trace duality supplies certified
-lower bounds: any A with nu1(A) = 1 and AP = PAP (P the orthogonal
-projection onto E) proves Tr(AP) <= Pi(E, F).
+is the orthogonal projection P plus a correction, Q = P + U Y K^T, with
+U and K orthonormal bases of E and of its complement and Y free.  The
+entrywise absolute values of Q are linearized with auxiliary variables,
+and the max column (row) absolute sum becomes a single bound variable.
+Trace duality supplies certified lower bounds: any A with nu1(A) = 1
+and AP = PAP (P the orthogonal projection onto E) proves
+Tr(AP) <= Pi(E, F).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from ._simplex import solve_lp
 from .errors import (InvariantViolation, NumericalError, PreconditionError,
                      WitnessConstraintError, WitnessNormalizationError)
 from .eigsum import kyfan_sum
-from .matcore import SignMatrix, _entries_of, eig_sym
+from .matcore import SignMatrix, _as_square_array, _entries_of, eig_sym
 
 _SPACES = ("l1", "linf")
 
@@ -115,56 +117,37 @@ def operator_norm(q, space: str) -> float:
 
 def min_projection_norm(basis: SubspaceBasis, space: str) -> tuple[float, np.ndarray]:
     """Minimal operator norm among projections of the overspace onto the
-    subspace, together with a minimizing projection matrix Q."""
+    subspace, together with a minimizing projection matrix Q.
+
+    With U and K orthonormal bases of E and of its complement and
+    P = U U^T, the projections onto E are exactly Q = P + U Y K^T for a
+    free n x (d - n) matrix Y.  The LP runs over (Y+, Y-, B, t) with
+    rows +-(P + U Y K^T)_ij <= B_ij and the column (l1) or row (linf)
+    sums of B at most t, and minimizes t.
+    """
     _check_space(space)
     v = basis.V
     d, n = basis.d, basis.n
-    nd = n * d
     nb = d * d
-    nvars = 2 * nd + nb + 1
-    off_mm, off_b, off_t = nd, 2 * nd, 2 * nd + nb
+    basis_q, _ = np.linalg.qr(v, mode="complete")
+    u, k = basis_q[:, :n], basis_q[:, n:]
+    p = u @ u.T
+    g = np.kron(u, k)                   # vec(U Y K^T), row-major
+    ny = g.shape[1]
+    sums = (np.kron(np.ones((1, d)), np.eye(d)) if space == "l1"
+            else np.kron(np.eye(d), np.ones((1, d))))
+    a_ub = np.block([
+        [g, -g, -np.eye(nb), np.zeros((nb, 1))],
+        [-g, g, -np.eye(nb), np.zeros((nb, 1))],
+        [np.zeros((d, 2 * ny)), sums, -np.ones((d, 1))],
+    ])
+    b_ub = np.concatenate([-p.ravel(), p.ravel(), np.zeros(d)])
+    c = np.zeros(2 * ny + nb + 1)
+    c[-1] = 1.0
+    res = solve_lp(c, a_ub=a_ub, b_ub=b_ub)
 
-    # MV = I_n
-    a_eq = np.zeros((n * n, nvars))
-    b_eq = np.zeros(n * n)
-    for aa in range(n):
-        for bb in range(n):
-            row = a_eq[aa * n + bb]
-            for j in range(d):
-                row[aa * d + j] = v[j, bb]
-                row[off_mm + aa * d + j] = -v[j, bb]
-            b_eq[aa * n + bb] = 1.0 if aa == bb else 0.0
-
-    # +-(VM)_ij <= B_ij and per-column (or per-row) sums <= t
-    a_ub = np.zeros((2 * nb + d, nvars))
-    b_ub = np.zeros(2 * nb + d)
-    for i in range(d):
-        for j in range(d):
-            r1 = a_ub[i * d + j]
-            r2 = a_ub[nb + i * d + j]
-            for aa in range(n):
-                r1[aa * d + j] = v[i, aa]
-                r1[off_mm + aa * d + j] = -v[i, aa]
-                r2[aa * d + j] = -v[i, aa]
-                r2[off_mm + aa * d + j] = v[i, aa]
-            r1[off_b + i * d + j] = -1.0
-            r2[off_b + i * d + j] = -1.0
-    for k in range(d):
-        row = a_ub[2 * nb + k]
-        if space == "l1":
-            for i in range(d):
-                row[off_b + i * d + k] = 1.0  # column k
-        else:
-            for j in range(d):
-                row[off_b + k * d + j] = 1.0  # row k
-        row[off_t] = -1.0
-
-    c = np.zeros(nvars)
-    c[off_t] = 1.0
-    res = solve_lp(c, a_eq, b_eq, a_ub, b_ub)
-
-    m = (res.x[:nd] - res.x[off_mm:off_mm + nd]).reshape(n, d)
-    q = v @ m
+    y = (res.x[:ny] - res.x[ny:2 * ny]).reshape(n, d - n)
+    q = p + u @ y @ k.T
     if float(np.abs(q @ v - v).max()) > 1e-8:
         raise NumericalError("LP projection does not fix the subspace")
     if float(np.abs(q @ q - q).max()) > 1e-8:
@@ -180,10 +163,10 @@ def min_projection_norm(basis: SubspaceBasis, space: str) -> tuple[float, np.nda
 def trace_certificate(a, basis: SubspaceBasis, space: str) -> DualityWitness:
     """Validate a trace-duality witness and return its certified value.
 
-    Requires nu1(A) = 1 within 1e-9 and AP = PAP within 1e-8 where P is
-    the orthogonal projection onto the subspace.
+    Requires finite entries, nu1(A) = 1 within 1e-9 and AP = PAP within
+    1e-8 where P is the orthogonal projection onto the subspace.
     """
-    m = np.asarray(_entries_of(a), dtype=float)
+    m = _as_square_array(_entries_of(a), "witness")
     _check_space(space)
     if m.shape != (basis.d, basis.d):
         raise PreconditionError(

@@ -116,6 +116,23 @@ def test_relproj_with_witness(tmp_path, capsys):
     assert abs(data["witness_value"] - 4 / 3) <= 1e-9
 
 
+def test_relproj_rejects_nan_witness(tmp_path, capsys):
+    basis_file = tmp_path / "hex.json"
+    basis_file.write_text(json.dumps(
+        {"d": 3, "n": 2,
+         "columns": [[1.0, 0.0, -1.0], [0.0, 1.0, -1.0]]}))
+    witness = (2 * np.eye(3) - np.ones((3, 3))) / 3
+    witness[0, 1] = np.nan
+    witness_file = tmp_path / "witness.json"
+    witness_file.write_text(json.dumps({"d": 3, "rows": witness.tolist()}))
+    code, out, err = run_cli(capsys, "relproj", "--space", "l1",
+                             "--basis", str(basis_file),
+                             "--certify", str(witness_file))
+    assert code == 1
+    assert out == ""
+    assert "finite" in err
+
+
 def test_relproj_rank_deficient_basis(tmp_path, capsys):
     basis_file = tmp_path / "bad.json"
     basis_file.write_text(json.dumps(
@@ -175,6 +192,17 @@ def test_blowup_command(tmp_path, capsys):
     evals = np.linalg.eigvalsh(np.asarray(data["S"]))
     nonzero = sorted(x for x in evals if abs(x) > 1e-8)
     assert np.allclose(nonzero, [-2.0, 4.0, 4.0])
+
+
+def test_blowup_rejects_nan_base(tmp_path, capsys):
+    mat_file = tmp_path / "nan.json"
+    mat_file.write_text(json.dumps(
+        {"d": 2, "rows": [[1.0, np.nan], [np.nan, 1.0]]}))
+    code, out, err = run_cli(capsys, "blowup", "--base", str(mat_file),
+                             "--multiplicities", "1,1")
+    assert code == 1
+    assert out == ""
+    assert "finite" in err
 
 
 def test_dirichlet_command(capsys):

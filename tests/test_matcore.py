@@ -139,6 +139,11 @@ class TestSignPattern:
         s = sign_matrix_of(np.array([[1.0, -0.5], [0.5, 1.0]]))
         assert np.array_equal(s.entries, 2 * np.eye(2) - np.ones((2, 2)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(PreconditionError, match="finite"):
+            sign_matrix_of(np.array([[1.0, bad], [bad, 1.0]]))
+
 
 class TestValidateProjection:
     def test_accepts_hexagon(self):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from projconst import (InvariantViolation, PreconditionError, SignMatrix,
                        SubspaceBasis, WitnessConstraintError,
@@ -16,6 +17,54 @@ HEX_BASIS = SubspaceBasis(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]))
 
 def icosa_basis():
     return SubspaceBasis(eig_sym(icosa6().entries).eigenvectors[:, :3])
+
+
+def highs_min_projection_norm(v, space):
+    """The same LP in the form Q = V M with M V = I_n, solved by HiGHS."""
+    d, n = v.shape
+    nm, nb = n * d, d * d
+    q_of_m = np.kron(v, np.eye(d))              # vec(V M), row-major
+    sums = (np.kron(np.ones((1, d)), np.eye(d)) if space == "l1"
+            else np.kron(np.eye(d), np.ones((1, d))))
+    a_ub = np.block([
+        [q_of_m, -np.eye(nb), np.zeros((nb, 1))],
+        [-q_of_m, -np.eye(nb), np.zeros((nb, 1))],
+        [np.zeros((d, nm)), sums, -np.ones((d, 1))],
+    ])
+    a_eq = np.hstack([np.kron(np.eye(n), v.T), np.zeros((n * n, nb + 1))])
+    c = np.zeros(nm + nb + 1)
+    c[-1] = 1.0
+    res = linprog(c, A_ub=a_ub, b_ub=np.zeros(2 * nb + d), A_eq=a_eq,
+                  b_eq=np.eye(n).ravel(),
+                  bounds=[(None, None)] * nm + [(0, None)] * (nb + 1),
+                  method="highs")
+    assert res.status == 0, res.message
+    return float(res.fun)
+
+
+def differential_cases():
+    """Random subspaces with d <= 8 (every fifth rounded to integers,
+    rank-deficient ones skipped), two d = 8, n = 4 draws from the
+    degenerate-pivot tail, and the hexagon and icosahedral ranges."""
+    rng = np.random.default_rng(2029)
+    cases, k = [], 0
+    while len(cases) < 200:
+        d = int(rng.integers(2, 9))
+        n = int(rng.integers(1, d + 1))
+        space = ("l1", "linf")[k % 2]
+        v = rng.standard_normal((d, n))
+        if k % 5 == 0:
+            v = np.round(v)
+        if np.linalg.matrix_rank(v) == n:
+            cases.append(pytest.param(v, space, id=f"k{k}-{space}-d{d}-n{n}"))
+        k += 1
+    for gen, space in ((1002, "l1"), (1000, "linf")):
+        v = np.random.default_rng(gen).standard_normal((8, 4))
+        cases.append(pytest.param(v, space, id=f"tail{gen}-{space}"))
+    for name, basis in (("hex3", HEX_BASIS), ("icosa6", icosa_basis())):
+        for space in ("l1", "linf"):
+            cases.append(pytest.param(basis.V, space, id=f"{name}-{space}"))
+    return cases
 
 
 class TestNu1:
@@ -81,6 +130,11 @@ class TestMinProjectionNorm:
                 assert abs(value - 1.0) <= 1e-9
                 assert np.abs(q - np.eye(d)).max() <= 1e-8
 
+    @pytest.mark.parametrize("v, space", differential_cases())
+    def test_matches_highs(self, v, space):
+        value, _ = min_projection_norm(SubspaceBasis(v), space)
+        assert abs(value - highs_min_projection_norm(v, space)) <= 1e-9
+
     def test_below_orthogonal_projection(self):
         rng = np.random.default_rng(51)
         for _ in range(20):
@@ -115,6 +169,13 @@ class TestTraceCertificate:
         a[0, 1] = 1.0
         assert abs(nu1(a, "l1") - 1.0) <= 1e-12
         with pytest.raises(WitnessConstraintError):
+            trace_certificate(a, HEX_BASIS, "l1")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        a = (2 * np.eye(3) - J3) / 3
+        a[0, 1] = bad
+        with pytest.raises(PreconditionError, match="finite"):
             trace_certificate(a, HEX_BASIS, "l1")
 
     def test_size_mismatch(self):
