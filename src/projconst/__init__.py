@@ -21,9 +21,9 @@ from .matcore import (OrthoProjection, RowSumStats, SignMatrix, Spectrum,
                       matrix_to_json, perron, row_sum_stats, sign_matrix_of,
                       validate_projection)
 from .rationalize import RationalWeights, choose_k, dirichlet_approx
-from .relproj import (AttainmentResult, DualityWitness, SubspaceBasis,
-                      attainment_check, min_projection_norm, nu1,
-                      operator_norm, trace_certificate)
+from .relproj import (AttainmentResult, DualityWitness, LpProjection,
+                      SubspaceBasis, attainment_check, min_projection_norm,
+                      nu1, operator_norm, trace_certificate)
 from .search import (SearchResult, alternate_maximize, alternating_pi,
                      exhaustive_pi, gruenbaum_floor)
 from .seeds import C_ICOSA, SEEDS, get_seed
@@ -33,7 +33,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AttainmentResult", "BlowupSpec", "C_ICOSA", "Certificate",
     "CuccSelection", "DualityWitness", "EqualityCase", "GapBound",
-    "GuardRefusal", "InvariantViolation", "NumericalError",
+    "GuardRefusal", "InvariantViolation", "LpProjection", "NumericalError",
     "OrthoProjection", "PipelineResult", "PreconditionError",
     "ProjconstError", "RationalWeights", "ResourceExhausted", "RowSumStats",
     "SEEDS", "SearchResult", "SignMatrix", "Spectrum",

@@ -10,6 +10,14 @@ degenerate pivots both choices switch to Bland's smallest-index
 anti-cycling rule, whose finiteness guarantee breaks any cycle, and
 revert once the objective moves again.  Feasibility and optimality
 tolerances are 1e-9.
+
+A caller that knows a feasible basis passes it as ``start``: one distinct
+column index per row, counted over the structural columns followed by
+one slack per inequality row.  The solver then skips the artificials
+and phase 1 and runs phase 2 from there; a singular or infeasible start
+raises NumericalError.  The result carries the row duals c_B B^-1 of
+the optimal basis in the caller's row signs, so they are <= 0 on the
+inequality rows and b @ duals equals the optimal value.
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ class LpResult:
     x: np.ndarray
     value: float
     iterations: int
+    duals: np.ndarray
 
 
 class _Tableau:
@@ -115,7 +124,20 @@ def _run_phase(tab: _Tableau, cost_full: np.ndarray, ncols: int,
             raise NumericalError("simplex pivot cap exceeded")
 
 
-def solve_lp(c, a_eq=None, b_eq=None, a_ub=None, b_ub=None) -> LpResult:
+def _feasible_start(a: np.ndarray, b: np.ndarray, start) -> _Tableau:
+    start = np.asarray(start, dtype=int)
+    try:
+        level = np.linalg.solve(a[:, start], b)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"singular start basis: {exc}")
+    if level.min() < -_TOL:
+        raise NumericalError(
+            f"infeasible start basis (basic level {level.min():.3e})")
+    return _Tableau(a, b, start)
+
+
+def solve_lp(c, a_eq=None, b_eq=None, a_ub=None, b_ub=None,
+             start=None) -> LpResult:
     c = np.asarray(c, dtype=float)
     nvars = c.size
     rows_a, rhs_parts = [], []
@@ -150,35 +172,41 @@ def solve_lp(c, a_eq=None, b_eq=None, a_ub=None, b_ub=None) -> LpResult:
     a[neg] *= -1.0
     b = np.where(neg, -b, b)
 
-    # Crash basis: a slack with +1 coefficient starts basic wherever its
-    # inequality row kept its sign; artificials cover equality rows and
-    # sign-flipped rows, and phase 1 minimizes their sum.
-    columns = np.hstack([a, np.eye(m)])
-    start = np.empty(m, dtype=int)
-    for i in range(m):
-        if i >= n_eq and not neg[i]:
-            start[i] = nvars + (i - n_eq)
-        else:
-            start[i] = ncols + i
-    tab = _Tableau(columns, b, start)
-    phase1_cost = np.zeros(ncols + m)
-    phase1_cost[ncols:] = 1.0
-    iterations = _run_phase(tab, phase1_cost, ncols + m, 0)
-    if tab.objective() > 1e-7:
-        raise NumericalError(
-            f"LP infeasible (phase-1 objective {tab.objective():.3e})")
+    if start is None:
+        # Crash basis: a slack with +1 coefficient starts basic wherever
+        # its inequality row kept its sign; artificials cover equality
+        # rows and sign-flipped rows, and phase 1 minimizes their sum.
+        columns = np.hstack([a, np.eye(m)])
+        crash = np.empty(m, dtype=int)
+        for i in range(m):
+            if i >= n_eq and not neg[i]:
+                crash[i] = nvars + (i - n_eq)
+            else:
+                crash[i] = ncols + i
+        tab = _Tableau(columns, b, crash)
+        phase1_cost = np.zeros(ncols + m)
+        phase1_cost[ncols:] = 1.0
+        iterations = _run_phase(tab, phase1_cost, ncols + m, 0)
+        if tab.objective() > 1e-7:
+            raise NumericalError(
+                f"LP infeasible (phase-1 objective {tab.objective():.3e})")
 
-    # Drive artificials out of the basis; unremovable ones sit in
-    # redundant rows at level zero and stay priced out of phase 2.
-    for i in range(m):
-        if tab.basis[i] >= ncols:
-            row = tab.t[i, :ncols]
-            free = np.nonzero((np.abs(row) > 1e-7) & ~tab.in_basis[:ncols])[0]
-            if free.size:
-                tab.pivot(i, int(free[0]), phase1_cost)
+        # Drive artificials out of the basis; unremovable ones sit in
+        # redundant rows at level zero and stay priced out of phase 2.
+        for i in range(m):
+            if tab.basis[i] >= ncols:
+                row = tab.t[i, :ncols]
+                free = np.nonzero((np.abs(row) > 1e-7)
+                                  & ~tab.in_basis[:ncols])[0]
+                if free.size:
+                    tab.pivot(i, int(free[0]), phase1_cost)
+    else:
+        tab, iterations = _feasible_start(a, b, start), 0
 
-    phase2_cost = np.zeros(ncols + m)
-    phase2_cost[:nvars] = c
-    iterations = _run_phase(tab, phase2_cost, ncols, iterations)
+    cost = np.zeros(tab.columns.shape[1])
+    cost[:nvars] = c
+    iterations = _run_phase(tab, cost, ncols, iterations)
     x = tab.solution(nvars)
-    return LpResult(x, float(c @ x), iterations)
+    duals = np.linalg.solve(tab.columns[:, tab.basis].T, cost[tab.basis])
+    duals[neg] *= -1.0
+    return LpResult(x, float(c @ x), iterations, duals)

@@ -100,17 +100,17 @@ def _cmd_almost_min(args) -> int:
 
 def _cmd_relproj(args) -> int:
     basis = relproj.SubspaceBasis.from_json(_load_json(args.basis))
-    value, q = relproj.min_projection_norm(basis, args.space)
-    out = {"space": args.space, "d": basis.d, "n": basis.n, "value": value,
-           "Q": matrix_to_json(q)["rows"]}
+    res = relproj.min_projection_norm(basis, args.space)
+    out = {"space": args.space, "d": basis.d, "n": basis.n,
+           "value": res.value, "Q": matrix_to_json(res.Q)["rows"]}
+    note = (f"relproj {args.space}: value {res.value!r}, dual bound "
+            f"{res.witness.value!r}, {res.pivots} pivots")
     if args.certify:
         witness = matrix_from_json(_load_json(args.certify))
         cert = relproj.trace_certificate(witness, basis, args.space)
         out["witness_value"] = cert.value
-        _note(f"relproj {args.space}: value {value!r}, "
-              f"witness {cert.value!r}")
-    else:
-        _note(f"relproj {args.space}: value {value!r}")
+        note += f", witness {cert.value!r}"
+    _note(note)
     _emit(out, args.out)
     return EXIT_OK
 

@@ -4,11 +4,14 @@ The minimal operator norm of a projection of l1^d (or linf^d) onto a
 subspace E = range(V) is a linear program: every projection with range E
 is the orthogonal projection P plus a correction, Q = P + U Y K^T, with
 U and K orthonormal bases of E and of its complement and Y free.  The
-entrywise absolute values of Q are linearized with auxiliary variables,
-and the max column (row) absolute sum becomes a single bound variable.
-Trace duality supplies certified lower bounds: any A with nu1(A) = 1
-and AP = PAP (P the orthogonal projection onto E) proves
-Tr(AP) <= Pi(E, F).
+LP carries the residual Q split into positive and negative parts, whose
+column (row) sums are bounded by a single variable, and starts from the
+feasible point Q = P, so it needs no phase 1.  Trace duality supplies
+certified lower bounds: any A with nu1(A) = 1 and AP = PAP (P the
+orthogonal projection onto E) proves Tr(AP) <= Pi(E, F).  The LP's own
+duals are such an A with Tr(AP) equal to the LP value, so every
+minimal projection norm comes with a two-sided certificate,
+||Q|| >= Pi(E, F) >= Tr(AP).
 """
 
 from __future__ import annotations
@@ -115,15 +118,41 @@ def operator_norm(q, space: str) -> float:
     return float(m.sum(axis=0).max() if space == "l1" else m.sum(axis=1).max())
 
 
-def min_projection_norm(basis: SubspaceBasis, space: str) -> tuple[float, np.ndarray]:
+@dataclass(frozen=True, eq=False)
+class LpProjection:
+    """A minimal projection with both sides of its certificate.
+
+    ``Q`` is a projection onto E with operator norm ``value``, so
+    value >= Pi(E); ``witness`` comes from the LP duals and certifies
+    Tr(AP) = value <= Pi(E).  ``pivots`` counts simplex pivots.  Unpacks
+    as ``value, Q``.
+    """
+
+    value: float
+    Q: np.ndarray
+    witness: DualityWitness
+    pivots: int
+
+    def __iter__(self):
+        return iter((self.value, self.Q))
+
+
+def min_projection_norm(basis: SubspaceBasis, space: str) -> LpProjection:
     """Minimal operator norm among projections of the overspace onto the
-    subspace, together with a minimizing projection matrix Q.
+    subspace, with a minimizing projection Q and a trace-duality witness
+    that certifies the value from below.
 
     With U and K orthonormal bases of E and of its complement and
     P = U U^T, the projections onto E are exactly Q = P + U Y K^T for a
-    free n x (d - n) matrix Y.  The LP runs over (Y+, Y-, B, t) with
-    rows +-(P + U Y K^T)_ij <= B_ij and the column (l1) or row (linf)
-    sums of B at most t, and minimizes t.
+    free n x (d - n) matrix Y.  The LP is in residual form: over
+    (Y+, Y-, R+, R-, t) it has the equality rows
+    R+ - R- - vec(U (Y+ - Y-) K^T) = vec(P), so that R+ + R- >= |Q|, and
+    the column (l1) or row (linf) sums of R+ + R- at most t, and it
+    minimizes t.  Y = 0 with R = |P| is feasible, so the simplex starts
+    from that basis at ||P|| and needs no phase 1.  The equality-row
+    duals, reshaped to d x d and transposed, are the witness A: the dual
+    constraints give nu1(A) <= 1 and AP = PAP, and strong duality gives
+    Tr(AP) = value.
     """
     _check_space(space)
     v = basis.V
@@ -136,15 +165,19 @@ def min_projection_norm(basis: SubspaceBasis, space: str) -> tuple[float, np.nda
     ny = g.shape[1]
     sums = (np.kron(np.ones((1, d)), np.eye(d)) if space == "l1"
             else np.kron(np.eye(d), np.ones((1, d))))
-    a_ub = np.block([
-        [g, -g, -np.eye(nb), np.zeros((nb, 1))],
-        [-g, g, -np.eye(nb), np.zeros((nb, 1))],
-        [np.zeros((d, 2 * ny)), sums, -np.ones((d, 1))],
-    ])
-    b_ub = np.concatenate([-p.ravel(), p.ravel(), np.zeros(d)])
-    c = np.zeros(2 * ny + nb + 1)
+    eye = np.eye(nb)
+    a_eq = np.hstack([-g, g, eye, -eye, np.zeros((nb, 1))])
+    a_ub = np.hstack([np.zeros((d, 2 * ny)), sums, sums, -np.ones((d, 1))])
+    c = np.zeros(2 * ny + 2 * nb + 1)
     c[-1] = 1.0
-    res = solve_lp(c, a_ub=a_ub, b_ub=b_ub)
+    # Start basis: R+ or R- at |P_ij| for each entry, t in the row of the
+    # largest absolute sum of P and the slacks in the other sum rows.
+    pv = p.ravel()
+    t_col = c.size - 1
+    sum_cols = t_col + 1 + np.arange(d)
+    sum_cols[np.argmax(sums @ np.abs(pv))] = t_col
+    start = np.concatenate([2 * ny + np.arange(nb) + nb * (pv < 0), sum_cols])
+    res = solve_lp(c, a_eq, pv, a_ub, np.zeros(d), start=start)
 
     y = (res.x[:ny] - res.x[ny:2 * ny]).reshape(n, d - n)
     q = p + u @ y @ k.T
@@ -157,7 +190,16 @@ def min_projection_norm(basis: SubspaceBasis, space: str) -> tuple[float, np.nda
         raise NumericalError(
             f"LP bound {res.value:.12g} inconsistent with achieved norm "
             f"{value:.12g}")
-    return value, q
+    try:
+        witness = trace_certificate(res.duals[:nb].reshape(d, d).T, basis,
+                                    space)
+    except (WitnessNormalizationError, WitnessConstraintError) as exc:
+        raise NumericalError(f"LP duals are not a duality witness: {exc}")
+    if abs(witness.value - value) > 1e-9:
+        raise NumericalError(
+            f"dual bound {witness.value:.12g} does not certify the LP "
+            f"value {value:.12g}")
+    return LpProjection(value, q, witness, res.iterations)
 
 
 def trace_certificate(a, basis: SubspaceBasis, space: str) -> DualityWitness:
@@ -214,7 +256,7 @@ def attainment_check(s: SignMatrix, n: int, reference: float | None = None,
     value = ky_value / d
     basis = SubspaceBasis(eig_sym(s.entries).eigenvectors[:, :n])
     op = operator_norm(p.entries, "l1")
-    lp_value, _ = min_projection_norm(basis, "l1")
+    lp_value = min_projection_norm(basis, "l1").value
     rho = float(eig_sym(p.abs_entries()).eigenvalues[0])
     mean_abs = float(np.abs(p.entries).sum()) / d
     quantities = (op, lp_value, rho, mean_abs)

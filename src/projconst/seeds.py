@@ -8,9 +8,10 @@ icosa6  — the rank-3 projector (I + C/sqrt(5))/2 of l1^6, where C is a
           absolute row sums all (1+sqrt(5))/2.
 trivial1 — the 1 x 1 identity.
 
-The conference matrix is stored explicitly (one switching-class
-representative, Paley construction over GF(5)) and machine-checked at
-import via C^2 = 5I.
+The icosahedral conference matrix is the Paley construction over GF(5);
+``paley(q)`` builds the same family for every prime q = 1 (mod 4), and
+(I + C/sqrt(q))/2 is then a rank-(q+1)/2 projection of l1^(q+1) whose
+absolute row sums are all (1+sqrt(q))/2.
 """
 
 from __future__ import annotations
@@ -20,19 +21,27 @@ import numpy as np
 from .errors import PreconditionError
 from .matcore import OrthoProjection, validate_projection
 
-C_ICOSA = np.array([
-    [0,  1,  1,  1,  1,  1],
-    [1,  0,  1, -1, -1,  1],
-    [1,  1,  0,  1, -1, -1],
-    [1, -1,  1,  0,  1, -1],
-    [1, -1, -1,  1,  0,  1],
-    [1,  1, -1, -1,  1,  0],
-], dtype=float)
 
-if not np.array_equal(C_ICOSA, C_ICOSA.T):
-    raise AssertionError("icosahedral Seidel matrix must be symmetric")
-if not np.array_equal(C_ICOSA @ C_ICOSA, 5.0 * np.eye(6)):
-    raise AssertionError("icosahedral Seidel matrix must satisfy C^2 = 5I")
+def paley(q: int) -> np.ndarray:
+    """The (q+1) x (q+1) symmetric Paley conference matrix for a prime
+    q = 1 (mod 4): the quadratic character chi(j - i) of GF(q), bordered
+    by a zero corner and ones.  Checked to satisfy C^2 = qI."""
+    if q < 5 or q % 4 != 1 or any(q % f == 0
+                                  for f in range(2, int(q ** 0.5) + 1)):
+        raise PreconditionError(f"paley needs a prime q = 1 (mod 4), got {q}")
+    chi = -np.ones(q)
+    chi[[x * x % q for x in range(1, q)]] = 1.0
+    chi[0] = 0.0
+    c = np.ones((q + 1, q + 1))
+    c[0, 0] = 0.0
+    idx = np.arange(q)
+    c[1:, 1:] = chi[(idx[None, :] - idx[:, None]) % q]
+    if not np.array_equal(c @ c, q * np.eye(q + 1)):
+        raise AssertionError(f"Paley matrix for q={q} must satisfy C^2 = qI")
+    return c
+
+
+C_ICOSA = paley(5)
 
 
 def hex3() -> OrthoProjection:

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -88,6 +89,23 @@ def test_relproj_hexagon(tmp_path, capsys):
                            "--basis", str(basis_file))
     assert code == 0
     assert abs(json.loads(out)["value"] - 4 / 3) <= 1e-7
+
+
+def test_relproj_note_reports_dual_bound_and_pivots(tmp_path, capsys):
+    basis_file = tmp_path / "hex.json"
+    basis_file.write_text(json.dumps(
+        {"d": 3, "n": 2,
+         "columns": [[1.0, 0.0, -1.0], [0.0, 1.0, -1.0]]}))
+    code, out, err = run_cli(capsys, "relproj", "--space", "l1",
+                             "--basis", str(basis_file))
+    assert code == 0
+    value = json.loads(out)["value"]
+    match = re.fullmatch(r"relproj l1: value (\S+), dual bound (\S+), "
+                         r"(\d+) pivots\n", err)
+    assert match is not None, err
+    assert float(match[1]) == value
+    assert abs(float(match[2]) - value) <= 1e-9
+    assert int(match[3]) > 0
 
 
 def test_relproj_coordinate_line_linf(tmp_path, capsys):

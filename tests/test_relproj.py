@@ -7,7 +7,7 @@ from projconst import (InvariantViolation, PreconditionError, SignMatrix,
                        WitnessNormalizationError,
                        attainment_check, eig_sym, min_projection_norm, nu1,
                        operator_norm, trace_certificate)
-from projconst.seeds import C_ICOSA, icosa6
+from projconst.seeds import C_ICOSA, icosa6, paley
 
 PHI = (1 + np.sqrt(5)) / 2
 J3 = np.ones((3, 3))
@@ -134,6 +134,26 @@ class TestMinProjectionNorm:
     def test_matches_highs(self, v, space):
         value, _ = min_projection_norm(SubspaceBasis(v), space)
         assert abs(value - highs_min_projection_norm(v, space)) <= 1e-9
+
+    @pytest.mark.parametrize("v, space", differential_cases())
+    def test_dual_witness_certifies_value(self, v, space):
+        basis = SubspaceBasis(v)
+        res = min_projection_norm(basis, space)
+        witness = trace_certificate(res.witness.A, basis, space)
+        assert abs(witness.value - res.value) <= 1e-9
+
+    @pytest.mark.parametrize("q", [13, 17])
+    def test_paley_range(self, q):
+        # (I + C/sqrt(q))/2 has all absolute row sums (1 + sqrt(q))/2
+        p = (np.eye(q + 1) + paley(q) / np.sqrt(q)) / 2
+        basis = SubspaceBasis(eig_sym(p).eigenvectors[:, :(q + 1) // 2])
+        res = min_projection_norm(basis, "l1")
+        exact = (1 + np.sqrt(q)) / 2
+        assert abs(res.value - exact) <= 1e-12
+        assert abs(operator_norm(res.Q, "l1") - exact) <= 1e-12
+        witness = trace_certificate(res.witness.A, basis, "l1")
+        assert abs(witness.value - exact) <= 1e-12
+        assert res.pivots > 0
 
     def test_below_orthogonal_projection(self):
         rng = np.random.default_rng(51)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from projconst import PreconditionError
-from projconst.seeds import C_ICOSA, SEEDS, get_seed
+from projconst.seeds import C_ICOSA, SEEDS, get_seed, paley
 
 PHI = (1 + np.sqrt(5)) / 2
 
@@ -12,6 +12,22 @@ def test_conference_matrix_identity():
     assert np.all(np.diag(C_ICOSA) == 0)
     assert np.all(np.abs(C_ICOSA + np.eye(6) * 1) >= 1)  # off-diagonal +-1
     assert np.array_equal(C_ICOSA @ C_ICOSA, 5 * np.eye(6))
+
+
+@pytest.mark.parametrize("q", [5, 13, 17, 29])
+def test_paley_conference_matrix(q):
+    c = paley(q)
+    assert c.shape == (q + 1, q + 1)
+    assert np.array_equal(c, c.T)
+    assert np.all(np.diag(c) == 0)
+    assert np.array_equal(np.abs(c) + np.eye(q + 1), np.ones((q + 1, q + 1)))
+    assert np.array_equal(c @ c, q * np.eye(q + 1))
+
+
+@pytest.mark.parametrize("q", [1, 3, 7, 9, 25])
+def test_paley_rejects_bad_order(q):
+    with pytest.raises(PreconditionError, match="prime"):
+        paley(q)
 
 
 def test_all_seeds_validate():

@@ -75,3 +75,50 @@ class TestAgainstScipy:
             if me:
                 assert np.abs(a_eq @ res.x - b_eq).max() <= 1e-7
             assert np.max(a_ub @ res.x - b_ub) <= 1e-7
+
+
+class TestFeasibleStart:
+    def test_slack_start_matches_two_phase(self):
+        rng = np.random.default_rng(41)
+        solved = 0
+        for _ in range(120):
+            nv = int(rng.integers(2, 8))
+            mu = int(rng.integers(1, 7))
+            a_ub = rng.standard_normal((mu, nv))
+            b_ub = rng.random(mu)
+            c = rng.standard_normal(nv)
+            slacks = nv + np.arange(mu)
+            try:
+                ref = solve_lp(c, a_ub=a_ub, b_ub=b_ub)
+            except NumericalError:
+                with pytest.raises(NumericalError, match="unbounded"):
+                    solve_lp(c, a_ub=a_ub, b_ub=b_ub, start=slacks)
+                continue
+            res = solve_lp(c, a_ub=a_ub, b_ub=b_ub, start=slacks)
+            scale = max(1.0, abs(ref.value))
+            assert abs(res.value - ref.value) <= 1e-9 * scale
+            assert np.max(a_ub @ res.x - b_ub) <= 1e-7
+            assert abs(b_ub @ res.duals - res.value) <= 1e-9 * scale
+            assert np.all(res.duals <= 1e-9)
+            solved += 1
+        # the other 58 draws of this seed are unbounded
+        assert solved == 62
+
+    def test_duals_in_caller_signs(self):
+        # min x1 + 2 x2 s.t. x1 + x2 = 1 and -x2 <= -0.25 (stored negated,
+        # as its rhs is negative): x = (0.75, 0.25) with duals (1, -1)
+        for start in (None, [0, 1]):
+            res = solve_lp([1, 2], a_eq=[[1, 1]], b_eq=[1],
+                           a_ub=[[0, -1]], b_ub=[-0.25], start=start)
+            assert abs(res.value - 1.25) <= 1e-12
+            assert np.allclose(res.duals, [1.0, -1.0], atol=1e-12)
+
+    def test_infeasible_start_raises(self):
+        # x = 0 (the slack basis) violates x >= 1
+        with pytest.raises(NumericalError, match="infeasible start"):
+            solve_lp([1], a_ub=[[-1]], b_ub=[-1], start=[1])
+
+    def test_singular_start_raises(self):
+        with pytest.raises(NumericalError, match="singular start"):
+            solve_lp([1, 1], a_ub=[[1, 1], [2, 2]], b_ub=[1, 2],
+                     start=[0, 1])
