@@ -41,6 +41,11 @@ def _as_square_array(entries, name: str = "matrix") -> np.ndarray:
     return a
 
 
+def _check_tol(tol: float, name: str) -> None:
+    if not 0.0 <= tol < np.inf:
+        raise PreconditionError(f"{name} must be finite and >= 0, got {tol!r}")
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.flags.writeable = False
@@ -76,8 +81,9 @@ _PROJECTION_CHECKS = ("symmetry", "idempotence", "trace equals rank",
 def _check_projections(a: np.ndarray, n: int, tol: float) -> np.ndarray:
     """Check every (d, d) matrix of the (B, d, d) stack ``a`` against the
     rank-n projection invariants of :class:`OrthoProjection` and return
-    the symmetrized stack.  A matrix fails on its worst violation
-    relative to its tolerance; a non-finite measure counts as failed."""
+    the symmetrized stack.  A matrix fails when a measure exceeds its
+    tolerance (a non-finite measure counts as failed) and reports its
+    worst violation relative to its tolerance."""
     at = a.swapaxes(-1, -2)
     sym = 0.5 * (a + at)
     evals = np.linalg.eigvalsh(sym)
@@ -90,12 +96,12 @@ def _check_projections(a: np.ndarray, n: int, tol: float) -> np.ndarray:
         np.maximum(eig_dev, on_01),
     ], axis=-1)
     tols = np.array([tol, tol, tol, 10 * tol])
-    worst = np.argmax(measures / tols, axis=-1)
-    lanes = np.arange(len(a))
-    failed = np.flatnonzero(~(measures[lanes, worst] <= tols[worst]))
+    ok = measures <= tols
+    failed = np.flatnonzero(~ok.all(axis=-1))
     if failed.size:
         i = failed[0]
-        k = worst[i]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            k = int(np.argmax(np.where(ok[i], -np.inf, measures[i] / tols)))
         raise InvariantViolation(_PROJECTION_CHECKS[k], float(measures[i, k]),
                                  detail=f"tolerance {tols[k]:g}")
     return sym
@@ -229,10 +235,10 @@ class OrthoProjection:
 
     The constructor is the single check of the projection invariants; it
     raises :class:`InvariantViolation` naming the worst violation.
-    Symmetry, idempotence and trace are checked on the input at ``tol``;
-    eigenvalue proximity to {0, 1} at ``10 * tol`` (matching the
-    1e-9 / 1e-8 default split) on the symmetrized input, which is what
-    is stored.
+    Symmetry, idempotence and trace are checked on the input at ``tol``
+    (finite and >= 0); eigenvalue proximity to {0, 1} at ``10 * tol``
+    (matching the 1e-9 / 1e-8 default split) on the symmetrized input,
+    which is what is stored.
     """
 
     entries: np.ndarray
@@ -241,6 +247,7 @@ class OrthoProjection:
 
     def __post_init__(self, tol):
         a = _as_square_array(self.entries, "projection candidate")
+        _check_tol(tol, "tol")
         n = self.n
         if not (0 <= n <= a.shape[0]):
             raise PreconditionError(f"rank {n} out of range for d={a.shape[0]}")
@@ -346,13 +353,15 @@ def perron(m) -> tuple[float, np.ndarray]:
 
 
 def sign_matrix_of(a, tau: float = SIGN_ZERO_TOL) -> SignMatrix:
-    """Sgn(a) as a sign matrix: +1 above tau and -1 below -tau, zeros
-    (entries within [-tau, tau]) replaced by +1, the diagonal set to +1.
+    """Sgn(a) as a sign matrix: +1 above tau and -1 below -tau (tau finite
+    and >= 0), zeros (entries within [-tau, tau]) replaced by +1, the
+    diagonal set to +1.
 
     An asymmetric input keeps the smaller sign of each pair, so the
     result is symmetric.
     """
     m = _as_square_array(_entries_of(a), "sign matrix input")
+    _check_tol(tau, "tau")
     return SignMatrix(_signs(m, tau))
 
 

@@ -41,6 +41,8 @@ class SubspaceBasis:
         if v.ndim != 2 or v.shape[0] < v.shape[1] or v.shape[1] == 0:
             raise PreconditionError(
                 f"basis must be d x n with d >= n >= 1, got {v.shape}")
+        if not np.all(np.isfinite(v)):
+            raise PreconditionError("basis contains non-finite entries")
         smin = float(np.linalg.svd(v, compute_uv=False).min())
         if smin <= 1e-10:
             raise InvariantViolation("basis linear independence", smin,
@@ -147,10 +149,10 @@ def min_projection_norm(basis: SubspaceBasis, space: str) -> LpProjection:
     free n x (d - n) matrix Y.  The LP is in residual form: over
     (Y+, Y-, R+, R-, t) it has the equality rows
     R+ - R- - vec(U (Y+ - Y-) K^T) = vec(P), so that R+ + R- >= |Q|, and
-    the column (l1) or row (linf) sums of R+ + R- at most t, and it
-    minimizes t.  Y = 0 with R = |P| is feasible, so the simplex starts
-    from that basis at ||P|| and needs no phase 1.  The equality-row
-    duals, reshaped to d x d and transposed, are the witness A: the dual
+    the column (l1) or row (linf) sums of R+ + R- plus a slack equal to
+    t, and it minimizes t.  Y = 0 with R = |P| is feasible, so the simplex
+    starts from that basis at ||P||.  The duals of the first d^2 rows,
+    reshaped to d x d and transposed, are the witness A: the dual
     constraints give nu1(A) <= 1 and AP = PAP, and strong duality gives
     Tr(AP) = value.
     """
@@ -166,18 +168,19 @@ def min_projection_norm(basis: SubspaceBasis, space: str) -> LpProjection:
     sums = (np.kron(np.ones((1, d)), np.eye(d)) if space == "l1"
             else np.kron(np.eye(d), np.ones((1, d))))
     eye = np.eye(nb)
-    a_eq = np.hstack([-g, g, eye, -eye, np.zeros((nb, 1))])
-    a_ub = np.hstack([np.zeros((d, 2 * ny)), sums, sums, -np.ones((d, 1))])
-    c = np.zeros(2 * ny + 2 * nb + 1)
-    c[-1] = 1.0
+    a = np.block([[-g, g, eye, -eye, np.zeros((nb, 1 + d))],
+                  [np.zeros((d, 2 * ny)), sums, sums, -np.ones((d, 1)),
+                   np.eye(d)]])
+    t_col = 2 * ny + 2 * nb
+    c = np.zeros(t_col + 1 + d)
+    c[t_col] = 1.0
     # Start basis: R+ or R- at |P_ij| for each entry, t in the row of the
     # largest absolute sum of P and the slacks in the other sum rows.
     pv = p.ravel()
-    t_col = c.size - 1
     sum_cols = t_col + 1 + np.arange(d)
     sum_cols[np.argmax(sums @ np.abs(pv))] = t_col
     start = np.concatenate([2 * ny + np.arange(nb) + nb * (pv < 0), sum_cols])
-    res = solve_lp(c, a_eq, pv, a_ub, np.zeros(d), start=start)
+    res = solve_lp(c, a, np.concatenate([pv, np.zeros(d)]), start)
 
     y = (res.x[:ny] - res.x[ny:2 * ny]).reshape(n, d - n)
     q = p + u @ y @ k.T

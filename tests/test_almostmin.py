@@ -3,7 +3,7 @@ import pytest
 
 from projconst import (PreconditionError, almost_minimal, certify,
                        eta_of_eps, validate_projection)
-from projconst.seeds import get_seed
+from projconst.seeds import get_seed, paley
 
 PHI = (1 + np.sqrt(5)) / 2
 J3 = np.ones((3, 3))
@@ -43,6 +43,16 @@ class TestCertify:
         for x in (cert.rho, cert.r, cert.R, cert.op_norm_l1,
                   cert.lower_bound):
             assert abs(x - PHI) <= 1e-10
+
+    @pytest.mark.parametrize("q", [13, 17])
+    def test_paley_all_equal(self, q):
+        # (I + C/sqrt(q))/2 attains the ETF bound (1 + sqrt(q))/2
+        p = validate_projection((np.eye(q + 1) + paley(q) / np.sqrt(q)) / 2,
+                                (q + 1) // 2)
+        cert = certify(p)
+        for x in (cert.rho, cert.r, cert.R, cert.lower_bound):
+            assert abs(x - (1 + np.sqrt(q)) / 2) <= 1e-12
+        assert cert.witness_kind == "perron"
 
     def test_coordinate_projection_absent_fields(self):
         cert = certify(validate_projection(np.diag([1.0, 0.0, 0.0]), 1))

@@ -162,6 +162,19 @@ def test_relproj_rank_deficient_basis(tmp_path, capsys):
     assert "independence" in err
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_relproj_rejects_non_finite_basis(tmp_path, capsys, bad):
+    basis_file = tmp_path / "bad.json"
+    basis_file.write_text(json.dumps(
+        {"d": 3, "n": 2,
+         "columns": [[1.0, 0.0, -1.0], [0.0, float(bad), -1.0]]}))
+    code, out, err = run_cli(capsys, "relproj", "--space", "l1",
+                             "--basis", str(basis_file))
+    assert code == 1
+    assert out == ""
+    assert "basis contains non-finite entries" in err
+
+
 def test_certify_seed(capsys):
     code, out, _ = run_cli(capsys, "certify", "--seed", "hex3")
     assert code == 0
@@ -181,6 +194,29 @@ def test_certify_tol_is_the_validation_tolerance(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "certify", "--seed", str(path),
                          "--tol", "1e-6")
     assert code == 0
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_certify_rejects_bad_tol(tmp_path, capsys, tol):
+    # not a projection: accepted at tol = inf before the check
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"d": 2, "rows": [[1.0, 0.3], [0.3, 0.0]]}))
+    code, out, err = run_cli(capsys, "certify", "--seed", str(path),
+                             "--tol", tol)
+    assert code == 1
+    assert out == ""
+    assert "tol must be finite and >= 0" in err
+
+
+def test_certify_zero_tol_is_exact(tmp_path, capsys):
+    # exactly symmetric, so the old check let it through at tol 0
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"d": 2, "rows": [[1.0, 0.3], [0.3, 0.0]]}))
+    code, out, err = run_cli(capsys, "certify", "--seed", str(path),
+                             "--tol", "0")
+    assert code == 1
+    assert out == ""
+    assert "idempotence" in err
 
 
 def test_eigsum_rotation(tmp_path, capsys):
@@ -221,6 +257,18 @@ def test_blowup_rejects_nan_base(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert "finite" in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_blowup_rejects_bad_tol(tmp_path, capsys, tol):
+    mat_file = tmp_path / "hexsign.json"
+    mat_file.write_text(json.dumps(matrix_to_json(
+        2 * np.eye(3) - np.ones((3, 3)))))
+    code, out, err = run_cli(capsys, "blowup", "--base", str(mat_file),
+                             "--multiplicities", "1,1,1", "--tol", tol)
+    assert code == 1
+    assert out == ""
+    assert "tau must be finite and >= 0" in err
 
 
 def test_dirichlet_command(capsys):

@@ -239,6 +239,29 @@ class TestExhaustive:
             assert val <= cache[(n, d)] + 1e-8
 
 
+def etf_bound(n, d):
+    """Upper bound on Pi(n, d), attained exactly when d equiangular
+    unit vectors form a tight frame of R^n (Koenig, Lewis and Lin)."""
+    return n / d + np.sqrt(n * (d - 1) * (d - n)) / d
+
+
+class TestClosedForms:
+    @pytest.mark.parametrize("n, d", [(n, d) for d in range(2, 7)
+                                      for n in range(1, d)])
+    def test_etf_bound(self, n, d):
+        gap = etf_bound(n, d) - exhaustive_cached(n, d, 5).value
+        assert gap >= -1e-12
+        if n == 1 or n == d - 1 or (n, d) == (3, 6):
+            assert gap <= 1e-12
+        else:
+            assert gap > 0.03
+
+    def test_three_in_five(self):
+        # Chalmers and Lewicki: Pi(3, 5) = (5 + 4 sqrt 2) / 7
+        value = exhaustive_cached(3, 5, 5).value
+        assert abs(value - (5 + 4 * np.sqrt(2)) / 7) <= 1e-11
+
+
 class TestAlternating:
     @pytest.mark.parametrize("n, d, restarts, digest", [
         (2, 5, 4, "88943761012e8ca9806acdc2413f9fd5"
