@@ -12,6 +12,24 @@ def with_slacks(a_ub):
     return np.hstack([a_ub, np.eye(a_ub.shape[0])])
 
 
+def vertex_basis(a, b, cost):
+    """A feasible basis of a x = b, x >= 0: the support of the vertex that
+    HiGHS finds for the bounded objective ``cost`` >= 0, completed to m
+    independent columns."""
+    found = linprog(cost, A_eq=a, b_eq=b, bounds=(0, None),
+                    method="highs-ds")
+    assert found.status == 0, found.message
+    basis = [int(j) for j in np.nonzero(found.x > 1e-9)[0]]
+    for j in range(a.shape[1]):
+        if len(basis) == a.shape[0]:
+            break
+        if j not in basis and np.linalg.matrix_rank(
+                a[:, basis + [j]]) == len(basis) + 1:
+            basis.append(j)
+    assert np.linalg.matrix_rank(a[:, basis]) == a.shape[0]
+    return basis
+
+
 class TestKnownSolutions:
     def test_bounded_box(self):
         a = with_slacks([[1, 1], [1, 0], [0, 1]])
@@ -48,6 +66,43 @@ class TestKnownSolutions:
 
 class TestAgainstScipy:
     def test_random_feasible_problems(self):
+        # equality and inequality rows with a feasible point x0, in the
+        # form [[A_eq, 0], [A_ub, I]] x = b, from a vertex that HiGHS finds
+        # for a positive objective, against HiGHS on the real objective
+        rng = np.random.default_rng(40)
+        solved = 0
+        for _ in range(120):
+            nv = int(rng.integers(2, 8))
+            me = int(rng.integers(0, 3))
+            mu = int(rng.integers(1, 7))
+            x0 = rng.random(nv)
+            a_eq = rng.standard_normal((me, nv))
+            a_ub = rng.standard_normal((mu, nv))
+            a = np.block([[a_eq, np.zeros((me, mu))], [a_ub, np.eye(mu)]])
+            b = np.concatenate([a_eq @ x0, a_ub @ x0 + rng.random(mu)])
+            c = np.concatenate([rng.standard_normal(nv), np.zeros(mu)])
+            start = vertex_basis(a, b, rng.random(nv + mu))
+            ref = linprog(c, A_eq=a, b_eq=b, bounds=(0, None),
+                          method="highs")
+            if ref.status == 3:
+                with pytest.raises(NumericalError, match="unbounded"):
+                    solve_lp(c, a, b, start)
+                continue
+            assert ref.status == 0, ref.message
+            res = solve_lp(c, a, b, start)
+            scale = max(1.0, abs(ref.fun))
+            assert abs(res.value - ref.fun) <= 1e-9 * scale
+            assert np.all(res.x >= 0)
+            assert np.abs(a @ res.x - b).max() <= 1e-9
+            assert abs(b @ res.duals - res.value) <= 1e-9 * scale
+            assert np.min(c - a.T @ res.duals) >= -1e-9
+            solved += 1
+        # the other 41 draws of this seed are unbounded
+        assert solved == 79
+
+
+class TestFeasibleStart:
+    def test_slack_start_matches_two_phase(self):
         # [A | I] x = b with b >= 0 from the slack basis, against HiGHS
         rng = np.random.default_rng(41)
         solved = 0
@@ -76,8 +131,6 @@ class TestAgainstScipy:
         # the other 58 draws of this seed are unbounded
         assert solved == 62
 
-
-class TestFeasibleStart:
     def test_duals_in_caller_signs(self):
         # min x1 + 2 x2 s.t. x1 + x2 = 1 and -x2 + s = -0.25 (a negative
         # rhs kept as given): x = (0.75, 0.25, 0) with duals (1, -1)
