@@ -7,11 +7,12 @@ at quality eta = min(1, (eps/32)^2) / sqrt(n)), blows up the sign pattern
 of P0 with the resulting multiplicities, takes the Ky Fan maximizer of
 the blown-up sign matrix at rank n (via block-constant eigenvector
 lifting), and polishes it with the sign fixed-point iteration until the
-sign pattern stabilizes.  The certificate records the Perron value
-rho(|P|), the extreme absolute row sums r and R, the l1 operator norm,
-and a trace-duality lower bound; gap_rows = R - r measures how far |P| is
-from a multiple of a doubly stochastic matrix and gap_minimality bounds
-the distance of ||P|| from the minimal projection norm onto range(P).
+sign pattern stabilizes.  The certificate is read off P alone: the
+Perron value rho(|P|), the extreme absolute row sums r and R, the l1
+operator norm, and the trace-duality lower bound Tr(AP) for a witness A
+with AP = PAP; gap_rows = R - r measures how far |P| is from a multiple
+of a doubly stochastic matrix and gap_minimality bounds the distance of
+||P|| from the minimal projection norm onto range(P).
 """
 
 from __future__ import annotations
@@ -22,16 +23,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blowup import BlowupSpec, blow_up, lift_eigenvectors, weighted_equivalent
-from .errors import (NumericalError, PreconditionError, ResourceExhausted,
+from .errors import (PreconditionError, ResourceExhausted,
                      WitnessConstraintError)
 from .eigsum import kyfan_sum
 from .matcore import (OrthoProjection, SignMatrix, eig_sym, matrix_to_json,
                       perron, row_sum_stats, sign_matrix_of,
                       validate_projection)
 from .rationalize import choose_k, dirichlet_approx
-from .relproj import (SubspaceBasis, operator_norm, trace_certificate)
+from .relproj import operator_norm, trace_certificate
 
-_DENSE_CROSSCHECK_LIMIT = 512
 _DENSE_SIZE_LIMIT = 4096
 _MAX_REFINE = 64
 
@@ -94,19 +94,15 @@ class PipelineResult:
         return out
 
 
-def _range_basis(p: OrthoProjection) -> SubspaceBasis:
-    return SubspaceBasis(eig_sym(p.entries).eigenvectors[:, :p.n])
-
-
 def certify(p: OrthoProjection) -> Certificate:
     """Certificate for a projection: Perron radius of |P| (when positive),
     extreme absolute row sums, l1 operator norm, and a trace-duality lower
     bound for the minimal projection norm onto range(P).
 
     The duality witness is A = D Sgn(P) with D the squared Perron weights
-    of |P|; when that witness fails the commutation constraint the uniform
-    witness Sgn(P)/d is tried instead.  An invalid witness leaves
-    lower_bound absent rather than reporting an uncertified number.
+    of |P|; when it fails AP = PAP against P itself, the uniform witness
+    Sgn(P)/d is tried instead.  An invalid witness leaves lower_bound
+    absent rather than reporting an uncertified number.
     """
     stats = row_sum_stats(p.entries)
     op = operator_norm(p.entries, "l1")
@@ -114,10 +110,8 @@ def certify(p: OrthoProjection) -> Certificate:
     lower: float | None = None
     kind: str | None = None
     if p.abs_is_positive():
-        rho_val, v = perron(p.abs_entries())
-        rho = float(rho_val)
+        rho, v = perron(p.abs_entries())
         signs = sign_matrix_of(p)
-        basis = _range_basis(p)
         weights = v * v
         weights = weights / weights.sum()
         candidates = (
@@ -126,7 +120,7 @@ def certify(p: OrthoProjection) -> Certificate:
         )
         for name, witness in candidates:
             try:
-                cert = trace_certificate(witness, basis, "l1")
+                cert = trace_certificate(witness, p, "l1")
             except WitnessConstraintError:
                 continue
             lower, kind = cert.value, name
@@ -136,26 +130,16 @@ def certify(p: OrthoProjection) -> Certificate:
                        gap_min, kind)
 
 
-def _kyfan_via_lifting(spec: BlowupSpec, big: SignMatrix,
-                       n: int) -> OrthoProjection | None:
+def _kyfan_via_lifting(spec: BlowupSpec, n: int) -> OrthoProjection | None:
     """Rank-n Ky Fan maximizer of the blown-up sign matrix from the m x m
     weighted problem; None when the top-n eigenvalues are not all positive
-    (the blow-up kernel would then enter the maximizer)."""
+    (the blow-up kernel would then enter the maximizer).  The projection
+    constructor is its only check."""
     small = eig_sym(weighted_equivalent(spec).entries)
     if small.eigenvalues[n - 1] <= 0:
         return None
     lifted = lift_eigenvectors(spec, small.eigenvectors[:, :n])
-    p = validate_projection(lifted @ lifted.T, n)
-    if big.d <= _DENSE_CROSSCHECK_LIMIT:
-        dense = eig_sym(big.entries)
-        gap = dense.eigenvalues[n - 1] - dense.eigenvalues[n] \
-            if n < big.d else np.inf
-        if gap > 1e-9:
-            v = dense.eigenvectors[:, :n]
-            if float(np.abs(v @ v.T - p.entries).max()) > 1e-8:
-                raise NumericalError(
-                    "lifted Ky Fan maximizer disagrees with dense eigensolve")
-    return p
+    return validate_projection(lifted @ lifted.T, n)
 
 
 def almost_minimal(n: int, eps: float, seed: OrthoProjection) -> PipelineResult:
@@ -193,7 +177,7 @@ def almost_minimal(n: int, eps: float, seed: OrthoProjection) -> PipelineResult:
     base = sign_matrix_of(seed)
     spec = BlowupSpec(base, rational.p)
     s = blow_up(spec)
-    p = _kyfan_via_lifting(spec, s, n)
+    p = _kyfan_via_lifting(spec, n)
     if p is None:
         _, p = kyfan_sum(s.entries, n)
 

@@ -55,11 +55,10 @@ def _load_json(path: str) -> dict:
 
 
 def _load_projection(spec: str, tol: float):
-    if spec in seeds.SEEDS:
-        return seeds.get_seed(spec)
-    if not os.path.exists(spec):
-        seeds.get_seed(spec)  # raises with the list of known seed names
-    mat = matrix_from_json(_load_json(spec))
+    if spec in seeds.SEEDS or not os.path.exists(spec):
+        mat = seeds.get_seed(spec).entries  # unknown names list the seeds
+    else:
+        mat = matrix_from_json(_load_json(spec))
     n = int(round(float(np.trace(mat))))
     return validate_projection(mat, n, tol)
 
@@ -107,7 +106,9 @@ def _cmd_relproj(args) -> int:
             f"{res.witness.value!r}, {res.pivots} pivots")
     if args.certify:
         witness = matrix_from_json(_load_json(args.certify))
-        cert = relproj.trace_certificate(witness, basis, args.space)
+        cert = relproj.trace_certificate(witness,
+                                         basis.orthogonal_projection(),
+                                         args.space)
         out["witness_value"] = cert.value
         note += f", witness {cert.value!r}"
     _note(note)

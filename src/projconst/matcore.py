@@ -5,6 +5,7 @@ matrices, simplex weight vectors, rank-n orthogonal projections, spectra)
 together with the spectral primitives: a deterministic symmetric
 eigensolver wrapper, Perron pairs of positive matrices, sign matrices of
 thresholded signs, projection validation, and absolute row-sum statistics.
+Every spectral primitive takes the same dense LAPACK path at every d.
 
 All values are immutable after construction and safe to share across
 threads; every operation is a pure function of its inputs.
@@ -23,13 +24,6 @@ from .errors import InvariantViolation, NumericalError, PreconditionError
 SIGN_ZERO_TOL = 1e-9
 
 DEFAULT_TOL = 1e-9
-
-# Above this dimension the Perron pair switches from a full eigensolve to
-# power iteration.
-_DENSE_SPECTRUM_LIMIT = 512
-
-_POWER_RESIDUAL_TOL = 1e-12
-_POWER_MAX_ITER = 100_000
 
 
 def _as_square_array(entries, name: str = "matrix") -> np.ndarray:
@@ -149,18 +143,11 @@ def _perron_vectors(a: np.ndarray, rho: np.ndarray,
 
 
 def _perron_pairs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Perron pairs of the strictly positive (B, d, d) stack ``a``: from
-    the full spectra up to d = 512, where ``a`` must be symmetric, and by
-    power iteration above."""
-    if a.shape[-1] > _DENSE_SPECTRUM_LIMIT:
-        pairs = [_power_iteration(m) for m in a]
-        rho = np.array([r for r, _ in pairs])
-        v = np.stack([x for _, x in pairs])
-    else:
-        w, vs = _eigh_descending(a)
-        _check_descending(w)
-        rho, v = w[:, 0], vs[..., 0]
-    return rho, _perron_vectors(a, rho, v)
+    """Perron pairs of the strictly positive, symmetric (B, d, d) stack
+    ``a`` from its full spectra, at every d."""
+    w, vs = _eigh_descending(a)
+    _check_descending(w)
+    return w[:, 0], _perron_vectors(a, w[:, 0], vs[..., 0])
 
 
 def _signs(m: np.ndarray, tau: float) -> np.ndarray:
@@ -314,35 +301,17 @@ def eig_sym(a) -> Spectrum:
     return Spectrum(*_eigh_descending(m))
 
 
-def _power_iteration(m: np.ndarray) -> tuple[float, np.ndarray]:
-    d = m.shape[0]
-    v = np.full(d, 1.0 / np.sqrt(d))
-    rho = 0.0
-    for _ in range(_POWER_MAX_ITER):
-        mv = m @ v
-        nv = float(np.linalg.norm(mv))
-        if nv == 0.0:
-            raise NumericalError("power iteration collapsed to zero vector")
-        v = mv / nv
-        rho = float(v @ (m @ v))
-        if float(np.linalg.norm(m @ v - rho * v)) <= _POWER_RESIDUAL_TOL:
-            return rho, v
-    raise NumericalError(
-        f"power iteration did not reach residual {_POWER_RESIDUAL_TOL:g} "
-        f"within {_POWER_MAX_ITER} iterations")
-
-
 def perron(m) -> tuple[float, np.ndarray]:
     """Perron pair (spectral radius, positive unit eigenvector) of a
     strictly positive matrix.
 
-    Uses the full spectrum for d <= 512 (robust near degenerate gaps) and
-    power iteration with a Rayleigh-quotient stopping rule above.
+    Uses the full spectrum at every d: ``eigh`` for symmetric input,
+    ``eig`` (the eigenvalue of largest real part) otherwise.
     """
     a = _as_square_array(_entries_of(m), "perron input")
     if not np.all(a > 0):
         raise PreconditionError("perron requires a strictly positive matrix")
-    if a.shape[0] <= _DENSE_SPECTRUM_LIMIT and not np.array_equal(a, a.T):
+    if not np.array_equal(a, a.T):
         w, vs = np.linalg.eig(a)
         i = int(np.argmax(w.real))
         rho = w[i:i + 1].real

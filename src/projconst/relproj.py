@@ -16,6 +16,7 @@ minimal projection norm comes with a two-sided certificate,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,8 @@ from ._simplex import solve_lp
 from .errors import (InvariantViolation, NumericalError, PreconditionError,
                      WitnessConstraintError, WitnessNormalizationError)
 from .eigsum import kyfan_sum
-from .matcore import SignMatrix, _as_square_array, _entries_of, eig_sym
+from .matcore import (OrthoProjection, SignMatrix, _as_square_array,
+                      _entries_of, eig_sym)
 
 _SPACES = ("l1", "linf")
 
@@ -59,9 +61,9 @@ class SubspaceBasis:
     def n(self) -> int:
         return self.V.shape[1]
 
-    def orthogonal_projection(self) -> np.ndarray:
+    def orthogonal_projection(self) -> OrthoProjection:
         q, _ = np.linalg.qr(self.V)
-        return q @ q.T
+        return OrthoProjection(q @ q.T, self.n)
 
     def to_json(self) -> dict:
         return {"d": self.d, "n": self.n,
@@ -194,8 +196,8 @@ def min_projection_norm(basis: SubspaceBasis, space: str) -> LpProjection:
             f"LP bound {res.value:.12g} inconsistent with achieved norm "
             f"{value:.12g}")
     try:
-        witness = trace_certificate(res.duals[:nb].reshape(d, d).T, basis,
-                                    space)
+        witness = trace_certificate(res.duals[:nb].reshape(d, d).T,
+                                    OrthoProjection(p, n), space)
     except (WitnessNormalizationError, WitnessConstraintError) as exc:
         raise NumericalError(f"LP duals are not a duality witness: {exc}")
     if abs(witness.value - value) > 1e-9:
@@ -205,29 +207,32 @@ def min_projection_norm(basis: SubspaceBasis, space: str) -> LpProjection:
     return LpProjection(value, q, witness, res.iterations)
 
 
-def trace_certificate(a, basis: SubspaceBasis, space: str) -> DualityWitness:
+def trace_certificate(a, p: OrthoProjection, space: str) -> DualityWitness:
     """Validate a trace-duality witness and return its certified value.
 
-    Requires finite entries, nu1(A) = 1 within 1e-9 and AP = PAP within
-    1e-8 where P is the orthogonal projection onto the subspace.
+    ``p`` is the orthogonal projection P onto the subspace E (for a basis,
+    ``SubspaceBasis.orthogonal_projection()``).  Requires finite entries,
+    nu1(A) = 1 within 1e-9 and AP = PAP within 1e-8; the value Tr(AP),
+    the correctly rounded sum of the diagonal of AP, is then <= Pi(E).
     """
     m = _as_square_array(_entries_of(a), "witness")
     _check_space(space)
-    if m.shape != (basis.d, basis.d):
+    if not isinstance(p, OrthoProjection):
+        raise PreconditionError("p must be the OrthoProjection onto E")
+    if m.shape != p.entries.shape:
         raise PreconditionError(
             f"witness has shape {m.shape}, the subspace lives in "
-            f"dimension d={basis.d}")
+            f"dimension d={p.d}")
     norm = nu1(m, space)
     if abs(norm - 1.0) > 1e-9:
         raise WitnessNormalizationError(
             f"nu1(A) = {norm:.12g}, expected 1 within 1e-9")
-    p = basis.orthogonal_projection()
-    mp = m @ p
-    defect = float(np.abs(mp - p @ mp).max())
+    mp = m @ p.entries
+    defect = float(np.abs(mp - p.entries @ mp).max())
     if defect > 1e-8:
         raise WitnessConstraintError(
             f"AP = PAP violated by {defect:.3e} (tolerance 1e-8)")
-    return DualityWitness(m, space, float(np.trace(mp)))
+    return DualityWitness(m, space, math.fsum(np.diagonal(mp)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -177,14 +177,16 @@ def test_criterion_08_weak_duality():
         hex_basis = SubspaceBasis(
             np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]))
         hex_witness = trace_certificate(
-            (2 * np.eye(3) - np.ones((3, 3))) / 3, hex_basis, "l1")
+            (2 * np.eye(3) - np.ones((3, 3))) / 3,
+            hex_basis.orthogonal_projection(), "l1")
         hex_lp, _ = min_projection_norm(hex_basis, "l1")
         assert abs(hex_witness.value - hex_lp) <= 1e-7
 
         icosa_basis = SubspaceBasis(
             eig_sym(get_seed("icosa6").entries).eigenvectors[:, :3])
         icosa_witness = trace_certificate(
-            (np.eye(6) + C_ICOSA) / 6, icosa_basis, "l1")
+            (np.eye(6) + C_ICOSA) / 6, icosa_basis.orthogonal_projection(),
+            "l1")
         icosa_lp, _ = min_projection_norm(icosa_basis, "l1")
         assert abs(icosa_witness.value - icosa_lp) <= 1e-7
 
@@ -205,7 +207,8 @@ def test_criterion_08_weak_duality():
                 (weights / weights.sum())[:, None]
                 * sign_matrix_of(p).entries)
             witness_mat = witness_mat / nu1(witness_mat, "l1")
-            witness = trace_certificate(witness_mat, basis, "l1")
+            witness = trace_certificate(
+                witness_mat, basis.orthogonal_projection(), "l1")
             lp_value, _ = min_projection_norm(basis, "l1")
             assert witness.value <= lp_value + 1e-7
             checked += 1

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
-from projconst import (PreconditionError, almost_minimal, certify,
-                       eta_of_eps, validate_projection)
+from projconst import (BlowupSpec, PreconditionError, almost_minimal,
+                       blow_up, certify, choose_k, dirichlet_approx, eig_sym,
+                       eta_of_eps, perron, sign_matrix_of,
+                       validate_projection)
+from projconst.almostmin import _kyfan_via_lifting
 from projconst.seeds import get_seed, paley
 
 PHI = (1 + np.sqrt(5)) / 2
@@ -72,6 +76,40 @@ class TestCertify:
                 assert cert.r - 1e-9 <= cert.rho <= cert.R + 1e-9
             if cert.lower_bound is not None:
                 assert cert.lower_bound <= cert.op_norm_l1 + 1e-9
+
+
+def pipeline_spec(seed, n, eps):
+    """The blow-up that almost_minimal builds from ``seed``."""
+    _, v = perron(seed.abs_entries())
+    weights = v * v
+    weights = weights / weights.sum()
+    k = choose_k(n, seed.d, eta_of_eps(n, eps), float(weights.min()))
+    return BlowupSpec(sign_matrix_of(seed), dirichlet_approx(weights, k).p)
+
+
+def rotated_hex3(rng_seed):
+    """hex3 with its plane rotated slightly, so that the Perron weights
+    are no longer uniform."""
+    g = np.random.default_rng(rng_seed).standard_normal((3, 3)) * 0.05
+    rot = expm(g - g.T)
+    return validate_projection(rot @ get_seed("hex3").entries @ rot.T, 2)
+
+
+class TestLifting:
+    @pytest.mark.parametrize("seed,n,eps,d", [
+        (get_seed("hex3"), 2, 0.1, 3),
+        (get_seed("icosa6"), 3, 0.1, 6),
+        (rotated_hex3(61), 2, 32.0, 515),
+    ], ids=["hex3", "icosa6", "rotated-hex3-d515"])
+    def test_matches_dense_eigensolve(self, seed, n, eps, d):
+        spec = pipeline_spec(seed, n, eps)
+        assert spec.d == d
+        dense = eig_sym(blow_up(spec))
+        # the top-n eigenspace is unique, so both projectors must agree
+        assert dense.eigenvalues[n - 1] - dense.eigenvalues[n] > 1e-9
+        v = dense.eigenvectors[:, :n]
+        p = _kyfan_via_lifting(spec, n)
+        assert np.abs(v @ v.T - p.entries).max() <= 1e-8
 
 
 class TestPipeline:

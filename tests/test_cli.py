@@ -198,14 +198,16 @@ def test_certify_tol_is_the_validation_tolerance(tmp_path, capsys):
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
 def test_certify_rejects_bad_tol(tmp_path, capsys, tol):
-    # not a projection: accepted at tol = inf before the check
+    # not a projection: accepted at tol = inf before the check; a named
+    # seed goes through the same validation as a file
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"d": 2, "rows": [[1.0, 0.3], [0.3, 0.0]]}))
-    code, out, err = run_cli(capsys, "certify", "--seed", str(path),
-                             "--tol", tol)
-    assert code == 1
-    assert out == ""
-    assert "tol must be finite and >= 0" in err
+    for seed in (str(path), "hex3"):
+        code, out, err = run_cli(capsys, "certify", "--seed", seed,
+                                 "--tol", tol)
+        assert code == 1
+        assert out == ""
+        assert "tol must be finite and >= 0" in err
 
 
 def test_certify_zero_tol_is_exact(tmp_path, capsys):

@@ -115,6 +115,17 @@ class TestPerron:
             assert np.all(v > 0)
             assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
 
+    def test_large_symmetric(self):
+        # d > 512 takes the same eigh path as every smaller d
+        rng = np.random.default_rng(12)
+        d = 520
+        m = (rng.random((d, d)) + 0.01) / d
+        m = 0.5 * (m + m.T)
+        rho, v = perron(m)
+        assert abs(rho - eig_sym(m).eigenvalues[0]) <= 1e-12
+        assert np.linalg.norm(m @ v - rho * v) <= 1e-10
+        assert np.all(v > 0)
+
 
 class TestSignPattern:
     """Sgn(a) as built by sign_matrix_of."""

@@ -139,7 +139,8 @@ class TestMinProjectionNorm:
     def test_dual_witness_certifies_value(self, v, space):
         basis = SubspaceBasis(v)
         res = min_projection_norm(basis, space)
-        witness = trace_certificate(res.witness.A, basis, space)
+        witness = trace_certificate(res.witness.A,
+                                    basis.orthogonal_projection(), space)
         assert abs(witness.value - res.value) <= 1e-9
 
     @pytest.mark.parametrize("q", [13, 17])
@@ -151,7 +152,8 @@ class TestMinProjectionNorm:
         exact = (1 + np.sqrt(q)) / 2
         assert abs(res.value - exact) <= 1e-12
         assert abs(operator_norm(res.Q, "l1") - exact) <= 1e-12
-        witness = trace_certificate(res.witness.A, basis, "l1")
+        witness = trace_certificate(res.witness.A,
+                                    basis.orthogonal_projection(), "l1")
         assert abs(witness.value - exact) <= 1e-12
         assert res.pivots > 0
 
@@ -171,17 +173,20 @@ class TestMinProjectionNorm:
 
 class TestTraceCertificate:
     def test_hexagon_witness(self):
-        witness = trace_certificate((2 * np.eye(3) - J3) / 3, HEX_BASIS, "l1")
+        witness = trace_certificate(
+            (2 * np.eye(3) - J3) / 3, HEX_BASIS.orthogonal_projection(), "l1")
         assert abs(witness.value - 4 / 3) <= 1e-12
 
     def test_icosahedral_witness(self):
         witness = trace_certificate((np.eye(6) + C_ICOSA) / 6,
-                                    icosa_basis(), "l1")
+                                    icosa_basis().orthogonal_projection(),
+                                    "l1")
         assert abs(witness.value - PHI) <= 1e-12
 
     def test_normalization_error(self):
         with pytest.raises(WitnessNormalizationError):
-            trace_certificate(np.eye(3), HEX_BASIS, "linf")
+            trace_certificate(np.eye(3), HEX_BASIS.orthogonal_projection(),
+                              "linf")
 
     def test_constraint_error(self):
         # nu1-normalized but not commuting with the hexagon projection
@@ -189,24 +194,33 @@ class TestTraceCertificate:
         a[0, 1] = 1.0
         assert abs(nu1(a, "l1") - 1.0) <= 1e-12
         with pytest.raises(WitnessConstraintError):
-            trace_certificate(a, HEX_BASIS, "l1")
+            trace_certificate(a, HEX_BASIS.orthogonal_projection(), "l1")
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite(self, bad):
         a = (2 * np.eye(3) - J3) / 3
         a[0, 1] = bad
         with pytest.raises(PreconditionError, match="finite"):
-            trace_certificate(a, HEX_BASIS, "l1")
+            trace_certificate(a, HEX_BASIS.orthogonal_projection(), "l1")
 
     def test_size_mismatch(self):
         with pytest.raises(PreconditionError, match=r"\(4, 4\).*d=3"):
-            trace_certificate(np.eye(4) / 4, HEX_BASIS, "l1")
+            trace_certificate(np.eye(4) / 4,
+                              HEX_BASIS.orthogonal_projection(), "l1")
+
+    def test_requires_the_projection(self):
+        # a basis or a raw matrix is not a validated projection onto E
+        witness = (2 * np.eye(3) - J3) / 3
+        for p in (HEX_BASIS, np.eye(3) - J3 / 3):
+            with pytest.raises(PreconditionError, match="OrthoProjection"):
+                trace_certificate(witness, p, "l1")
 
     def test_weak_duality_on_examples(self):
         for witness_mat, basis in (
                 ((2 * np.eye(3) - J3) / 3, HEX_BASIS),
                 ((np.eye(6) + C_ICOSA) / 6, icosa_basis())):
-            witness = trace_certificate(witness_mat, basis, "l1")
+            witness = trace_certificate(
+                witness_mat, basis.orthogonal_projection(), "l1")
             lp_value, _ = min_projection_norm(basis, "l1")
             assert witness.value <= lp_value + 1e-7
             assert abs(witness.value - lp_value) <= 1e-7

@@ -58,6 +58,34 @@ class TestKnownSolutions:
         res = solve_lp(c, a, [0, 0, 1], [4, 5, 6])
         assert abs(res.value + 0.05) <= 1e-9
 
+    def test_kuhn_cycles_until_bland(self):
+        # Kuhn's example cycles under Dantzig pricing with the largest-pivot
+        # tie-break; only the switch to Bland's rule after 64 degenerate
+        # pivots reaches the optimum
+        c = [-2, -3, 1, 12, 0, 0, 0]
+        a = with_slacks([[-2, -9, 1, 9],
+                         [1 / 3, 1, -1 / 3, -2],
+                         [2, 3, -1, -12]])
+        b = [0, 0, 2]
+        res = solve_lp(c, a, b, [4, 5, 6])
+        ref = linprog(c, A_eq=a, b_eq=b, bounds=(0, None), method="highs")
+        assert ref.status == 0, ref.message
+        assert abs(res.value - ref.fun) <= 1e-9
+        assert abs(res.value + 2) <= 1e-9
+        assert res.iterations > 64
+
+    def test_hall_mckinnon_cycles_until_bland(self):
+        # Hall and McKinnon's 2 x 4 cycling LP (maximize, negated here):
+        # Bland's rule escapes the cycle and finds the unbounded ray
+        c = [-2.3, -2.15, 13.55, 0.4, 0, 0]
+        a = with_slacks([[0.4, 0.2, -1.4, -0.2],
+                         [-7.8, -1.4, 7.8, 0.4]])
+        ref = linprog(c, A_eq=a, b_eq=[0, 0], bounds=(0, None),
+                      method="highs")
+        assert ref.status == 3, ref.message
+        with pytest.raises(NumericalError, match="unbounded"):
+            solve_lp(c, a, [0, 0], [4, 5])
+
     def test_unbounded_raises(self):
         # min -x s.t. -x + s = 0
         with pytest.raises(NumericalError, match="unbounded"):
