@@ -25,7 +25,7 @@ from .relproj import (AttainmentResult, DualityWitness, LpProjection,
                       SubspaceBasis, attainment_check, min_projection_norm,
                       nu1, operator_norm, trace_certificate)
 from .search import (SearchResult, alternate_maximize, alternating_pi,
-                     exhaustive_pi, gruenbaum_floor)
+                     etf_bound, exhaustive_pi, gruenbaum_floor)
 from .seeds import C_ICOSA, SEEDS, get_seed
 
 __version__ = "0.1.0"
@@ -41,9 +41,10 @@ __all__ = [
     "WitnessNormalizationError", "almost_minimal", "alternate_maximize",
     "alternating_pi", "attainment_check", "blow_up", "certify", "choose_k",
     "cucc_selection", "dirichlet_approx", "eig_sym", "equality_case",
-    "eta_of_eps", "exhaustive_pi", "get_seed", "gruenbaum_floor",
-    "kyfan_sum", "lift_eigenvectors", "matrix_from_json", "matrix_to_json",
-    "min_projection_norm", "nu1", "operator_norm", "perron", "pi_n_general",
-    "row_sum_stats", "sign_matrix_of", "spectral_gap_bound",
-    "trace_certificate", "validate_projection", "weighted_equivalent",
+    "eta_of_eps", "etf_bound", "exhaustive_pi", "get_seed",
+    "gruenbaum_floor", "kyfan_sum", "lift_eigenvectors", "matrix_from_json",
+    "matrix_to_json", "min_projection_norm", "nu1", "operator_norm",
+    "perron", "pi_n_general", "row_sum_stats", "sign_matrix_of",
+    "spectral_gap_bound", "trace_certificate", "validate_projection",
+    "weighted_equivalent",
 ]

@@ -26,6 +26,9 @@ EXIT_USAGE = 1
 EXIT_GUARD = 2
 EXIT_RESOURCE = 3
 
+# A search value this close to etf_bound attains it, so it is Pi(n, d).
+_ATTAINED_TOL = 1e-12
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2
@@ -79,7 +82,11 @@ def _cmd_search(args) -> int:
     else:
         result = search.alternating_pi(args.n, args.d, restarts=args.restarts)
         mode = "alternating"
-    _note(f"search n={args.n} d={args.d} ({mode}): value {result.value!r}, "
+    bound = search.etf_bound(args.n, args.d)
+    status = ("attained" if abs(result.value - bound) <= _ATTAINED_TOL
+              else "lower bound")
+    _note(f"search n={args.n} d={args.d} ({mode}): value {result.value!r} "
+          f"({status}), bound {bound!r}, "
           f"converged={result.converged}; {result.runs} ascent runs, "
           f"{result.ascent_iterations} iterations, "
           f"{result.nonconverged} not converged")
@@ -120,7 +127,7 @@ def _cmd_certify(args) -> int:
     p = _load_projection(args.seed, args.tol)
     cert = almostmin.certify(p)
     _note(f"certify d={p.d} n={p.n}: rho={cert.rho!r}, "
-          f"gap_rows={cert.gap_rows!r}")
+          f"gap_rows={cert.gap_rows!r}, witness={cert.witness_kind}")
     _emit(cert.to_json(), args.out)
     return EXIT_OK
 
@@ -167,6 +174,7 @@ def build_parser() -> _Parser:
                                  "l1^d / linf^d: search, certificates, and "
                                  "almost-minimal projections")
     subs = parser.add_subparsers(dest="command", required=True)
+    seed_names = ", ".join(seeds.SEEDS)
 
     p = subs.add_parser("search", help="maximize pi_n(sqrt(D) S sqrt(D))")
     p.add_argument("--n", type=int, required=True)
@@ -184,7 +192,7 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--seed", required=True,
-                   help="seed name (hex3, icosa6, trivial1) or matrix JSON file")
+                   help=f"seed name ({seed_names}) or matrix JSON file")
     p.add_argument("--matrices", action="store_true",
                    help="include P and S in the JSON output")
     _add_validation_tol(p)
@@ -201,7 +209,8 @@ def build_parser() -> _Parser:
 
     p = subs.add_parser("certify", help="row-sum/duality certificate")
     p.add_argument("--seed", required=True,
-                   help="seed name or projection matrix JSON file")
+                   help=f"seed name ({seed_names}) or projection matrix "
+                        "JSON file")
     _add_validation_tol(p)
     _add_out(p)
     p.set_defaults(func=_cmd_certify)

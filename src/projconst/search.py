@@ -88,6 +88,15 @@ def gruenbaum_floor(n: int) -> float:
     return float(np.sqrt(2.0 / np.pi) * np.sqrt(n))
 
 
+def etf_bound(n: int, d: int) -> float:
+    """Upper bound n/d + sqrt(n(d-1)(d-n))/d on Pi(n, d), attained exactly
+    when d equiangular unit vectors form a tight frame of R^n (Koenig,
+    Lewis and Lin 1983)."""
+    if not (1 <= n <= d):
+        raise PreconditionError(f"n={n} out of range 1..d (d={d})")
+    return float(n / d + np.sqrt(n * (d - 1) * (d - n)) / d)
+
+
 def alternate_maximize(n: int, s0: SignMatrix, d0: WeightVector,
                        max_iter: int = 200) -> SearchResult:
     """Alternating ascent from (s0, d0); see the module docstring for the
@@ -196,25 +205,45 @@ def _ascend(n: int, s: np.ndarray, w: np.ndarray, max_iter: int) -> _Lanes:
 # integer order coincides with lexicographic order on upper-triangle sign
 # vectors (-1 < +1), so the minimum over all vertex permutations is both a
 # canonical form and the lexicographically smallest class member.
+#
+# A vertex permutation moves each bit of a code to another bit, so it maps
+# codes to codes through integer lookups: split the code into 7-bit chunks
+# and OR together one 128-entry table per chunk.  At d = 7 that is three
+# tables per permutation, about 8 MB of int32 for all 5039 non-identity
+# permutations, and codes stay int32 up to d = 8.
+
+_CHUNK_BITS = 7
+# Entries of the (permutations x survivors) image block filtered at once.
+_IMAGE_BLOCK = 1 << 20
+
 
 def _slots(d: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(d) for j in range(i + 1, d)]
 
 
-@lru_cache(maxsize=None)
-def _perm_weights(d: int) -> np.ndarray:
-    """Row p holds, per source slot e, the weight 2^(L-1-target(p, e))."""
-    slots = _slots(d)
-    index = {slot: e for e, slot in enumerate(slots)}
+def _image_tables(d: int) -> np.ndarray:
+    """(d! - 1, chunks, 128) int32 tables, one row per non-identity vertex
+    permutation, most fixed points first.  Entry c of table k is the image
+    of the code whose chunk k holds c and whose other chunks are 0."""
+    slots = np.array(_slots(d))
     length = len(slots)
-    perms = list(itertools.permutations(range(d)))
-    weights = np.zeros((len(perms), length))
-    for pi, sigma in enumerate(perms):
-        for e, (i, j) in enumerate(slots):
-            a, b = sigma[i], sigma[j]
-            target = index[(a, b) if a < b else (b, a)]
-            weights[pi, e] = float(2 ** (length - 1 - target))
-    return weights
+    index = np.zeros((d, d), dtype=np.int64)
+    index[slots[:, 0], slots[:, 1]] = np.arange(length)
+    index += index.T
+    perms = np.array(list(itertools.permutations(range(d))))
+    fixed = np.count_nonzero(perms == np.arange(d), axis=1)
+    perms = perms[np.argsort(-fixed, kind="stable")[1:]]  # identity first
+    # Slot e sits at bit length-1-e; weight[p, b] is the image of bit b.
+    target = index[perms[:, slots[:, 0]], perms[:, slots[:, 1]]]
+    chunks = -(-length // _CHUNK_BITS)
+    weight = np.zeros((len(perms), chunks * _CHUNK_BITS), dtype=np.int32)
+    weight[:, :length] = (1 << (length - 1 - target))[:, ::-1]
+    weight = weight.reshape(len(perms), chunks, _CHUNK_BITS)
+    tables = np.zeros((len(perms), chunks, 1 << _CHUNK_BITS), dtype=np.int32)
+    for t in range(_CHUNK_BITS):  # entry c + 2^t is entry c | image of t
+        tables[..., 1 << t:2 << t] = (tables[..., :1 << t]
+                                      | weight[..., t, None])
+    return tables
 
 
 @lru_cache(maxsize=None)
@@ -222,23 +251,29 @@ def _canonical_reps(d: int) -> tuple[int, ...]:
     """Sorted canonical encodings, one per isomorphism class of graphs on
     d vertices.
 
-    A mask represents its class iff no vertex permutation maps it to a
-    smaller encoding, so the full space is filtered by one permutation at
-    a time against a shrinking survivor set; the first few permutations
-    disqualify almost everything, which keeps d = 7 (2^21 masks, 5040
-    permutations) at desk scale.
+    A code represents its class iff no vertex permutation maps it to a
+    smaller code, so all 2^(d(d-1)/2) codes are filtered against the
+    permutations in turn, keeping the survivors.  The permutations with
+    the most fixed points go first: the d(d-1)/2 transpositions leave
+    about 3,000 of the 2^21 codes at d = 7.  A step takes as many
+    permutations as keep the image block within _IMAGE_BLOCK entries, so
+    one at a time while the survivors are many; the order and grouping
+    cannot change the result.
     """
     length = d * (d - 1) // 2
     if length == 0:
         return (0,)
-    weights = _perm_weights(d)[1:]  # identity row filters nothing
-    shifts = np.arange(length - 1, -1, -1, dtype=np.uint32)
-    survivors = np.arange(1 << length, dtype=np.int64)
-    for row in weights:
-        bits = ((survivors[None, :].astype(np.uint32) >> shifts[:, None])
-                & 1).astype(float)
-        images = (row @ bits).astype(np.int64)
-        survivors = survivors[images >= survivors]
+    tables = _image_tables(d)
+    survivors = np.arange(1 << length, dtype=np.int32)
+    mask = (1 << _CHUNK_BITS) - 1
+    start = 0
+    while start < len(tables):
+        block = tables[start:start + max(1, _IMAGE_BLOCK // len(survivors))]
+        start += len(block)
+        images = block[:, 0, survivors & mask]
+        for k in range(1, block.shape[1]):
+            images |= block[:, k, (survivors >> k * _CHUNK_BITS) & mask]
+        survivors = survivors[np.all(images >= survivors, axis=0)]
     return tuple(int(x) for x in survivors)
 
 

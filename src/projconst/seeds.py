@@ -6,15 +6,21 @@ icosa6  — the rank-3 projector (I + C/sqrt(5))/2 of l1^6, where C is a
           6 x 6 Seidel matrix of the six icosahedron diagonals (symmetric
           conference matrix: zero diagonal, +-1 off-diagonal, C^2 = 5I);
           absolute row sums all (1+sqrt(5))/2.
+paley13, paley17 — the rank-7 and rank-9 projectors (I + C/sqrt(q))/2 of
+          l1^14 and l1^18 for the Paley conference matrices C of q = 13
+          and q = 17; absolute row sums all (1+sqrt(q))/2.
 trivial1 — the 1 x 1 identity.
 
 The icosahedral conference matrix is the Paley construction over GF(5);
 ``paley(q)`` builds the same family for every prime q = 1 (mod 4), and
 (I + C/sqrt(q))/2 is then a rank-(q+1)/2 projection of l1^(q+1) whose
-absolute row sums are all (1+sqrt(q))/2.
+absolute row sums are all (1+sqrt(q))/2, the equiangular tight frame
+bound, so its range attains Pi((q+1)/2, q+1).
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -48,16 +54,24 @@ def hex3() -> OrthoProjection:
     return validate_projection(np.eye(3) - np.ones((3, 3)) / 3.0, 2)
 
 
-def icosa6() -> OrthoProjection:
+def paley_projection(q: int) -> OrthoProjection:
+    """The rank-(q+1)/2 projection (I + paley(q)/sqrt(q))/2."""
     return validate_projection(
-        0.5 * (np.eye(6) + C_ICOSA / np.sqrt(5.0)), 3)
+        0.5 * (np.eye(q + 1) + paley(q) / np.sqrt(q)), (q + 1) // 2)
+
+
+def icosa6() -> OrthoProjection:
+    return paley_projection(5)
 
 
 def trivial1() -> OrthoProjection:
     return validate_projection(np.array([[1.0]]), 1)
 
 
-SEEDS = {"hex3": hex3, "icosa6": icosa6, "trivial1": trivial1}
+SEEDS = {"hex3": hex3, "icosa6": icosa6,
+         "paley13": functools.partial(paley_projection, 13),
+         "paley17": functools.partial(paley_projection, 17),
+         "trivial1": trivial1}
 
 
 def get_seed(name: str) -> OrthoProjection:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 
@@ -24,6 +25,23 @@ def test_search_exhaustive_hexagon(capsys):
     assert "value" in err  # summary goes to stderr
     # 4 classes x 5 weight restarts
     assert "20 ascent runs, 150 iterations, 0 not converged" in err
+
+
+@pytest.mark.parametrize("n, d, status, digest", [
+    (3, 6, "attained", "fd34a7d57f16e76afd3f42384d874937"
+                       "f8ed20e4400bbae20024a6c9fba07d94"),
+    (2, 5, "lower bound", "6bb343f9e263792a200bf0ef2d585c3a"
+                          "0e44b27b618812c4ef77b97182647833"),
+])
+def test_search_note_brackets_value_with_etf_bound(capsys, n, d, status,
+                                                   digest):
+    code, out, err = run_cli(capsys, "search", "--n", str(n), "--d", str(d))
+    assert code == 0
+    # stdout matches the exhaustive pins; the bracket goes to stderr only
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    value = json.loads(out)["value"]
+    bound = n / d + float(np.sqrt(n * (d - 1) * (d - n))) / d
+    assert f"value {value!r} ({status}), bound {bound!r}," in err
 
 
 def test_search_trivial(capsys):
@@ -180,6 +198,31 @@ def test_certify_seed(capsys):
     assert code == 0
     cert = json.loads(out)
     assert abs(cert["lower_bound"] - 4 / 3) <= 1e-9
+
+
+@pytest.mark.parametrize("q", [13, 17])
+def test_certify_paley_seed(capsys, q):
+    code, out, err = run_cli(capsys, "certify", "--seed", f"paley{q}")
+    assert code == 0
+    cert = json.loads(out)
+    for key in ("rho", "r", "R"):
+        assert abs(cert[key] - (1 + np.sqrt(q)) / 2) <= 1e-12
+    assert f"certify d={q + 1} n={(q + 1) // 2}:" in err
+    assert err.rstrip().endswith("witness=perron")
+
+
+@pytest.mark.parametrize("seed, digest", [
+    ("hex3", "66352ecd7d0d545262d63613ba9bce01"
+             "f5c4c837c2b1a12fd67b8587a816461f"),
+    ("icosa6", "a38984f55cd6d34738a8959c6ca9f228"
+               "8d57b23cbd54799a65ec40602495d8a1"),
+    ("trivial1", "cc01ddf301474b5d6ecd709da1dabb5c"
+                 "60b56d7df92d4c810bf48acd18e4072a"),
+])
+def test_certify_named_seed_stdout_pinned(capsys, seed, digest):
+    # sha256 of the stdout recorded before the Paley seeds were added
+    _, out, _ = run_cli(capsys, "certify", "--seed", seed)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_certify_tol_is_the_validation_tolerance(tmp_path, capsys):

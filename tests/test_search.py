@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import itertools
 import json
 
 import numpy as np
@@ -7,8 +8,8 @@ import pytest
 
 from projconst import (GuardRefusal, PreconditionError, SignMatrix,
                        WeightVector, alternate_maximize, alternating_pi,
-                       exhaustive_pi, gruenbaum_floor, kyfan_sum, perron,
-                       pi_n_general, sign_matrix_of)
+                       etf_bound, exhaustive_pi, gruenbaum_floor, kyfan_sum,
+                       perron, pi_n_general, sign_matrix_of)
 from projconst.search import (_ascend, _canonical_reps, _decode,
                               restart_weights)
 from projconst.seeds import C_ICOSA
@@ -41,6 +42,15 @@ EXHAUSTIVE_DIGESTS = {
 }
 
 
+# sha256 of ",".join(map(str, _canonical_reps(d))), recorded when the
+# classes were filtered through a float bit matrix.
+CANONICAL_DIGESTS = {
+    5: "92c2b3d1c584d2f0669963008afd7bb79a0681db4bd98acf595a4dfb16d63df6",
+    6: "995555965de9494ff13be62e028482bc78db6d92f400fc8304bc44cfd92b4609",
+    7: "cb0450eee4c3f597f4eb71166861586c9206aa5166d274300f16003ec6288482",
+}
+
+
 def uniform(d):
     return WeightVector(np.full(d, 1.0 / d))
 
@@ -48,6 +58,23 @@ def uniform(d):
 @functools.lru_cache(maxsize=None)
 def exhaustive_cached(n, d, restarts):
     return exhaustive_pi(n, d, restarts)
+
+
+def orbit_minima(d):
+    """Smallest image of every upper-triangle code under all vertex
+    permutations, by Python loops over each permutation and bit."""
+    slots = list(itertools.combinations(range(d), 2))
+    length = len(slots)
+    targets = [[slots.index(tuple(sorted((perm[i], perm[j]))))
+                for i, j in slots]
+               for perm in itertools.permutations(range(d))]
+
+    def image(code, target):
+        return sum(1 << (length - 1 - t) for e, t in enumerate(target)
+                   if code >> (length - 1 - e) & 1)
+
+    return [min(image(code, t) for t in targets)
+            for code in range(1 << length)]
 
 
 def cli_digest(result):
@@ -160,6 +187,21 @@ class TestCanonicalEnumeration:
                          (7, 1044)):
             assert len(_canonical_reps(d)) == count
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_representatives_are_orbit_minima(self, d):
+        reps = _canonical_reps(d)
+        assert list(reps) == sorted(set(reps))
+        minima = orbit_minima(d)
+        assert set(minima) <= set(reps)
+        for code in reps:
+            assert minima[code] == code
+
+    @pytest.mark.parametrize("d", sorted(CANONICAL_DIGESTS))
+    def test_representatives_pinned(self, d):
+        text = ",".join(map(str, _canonical_reps(d)))
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            CANONICAL_DIGESTS[d]
+
     def test_restart_weights_deterministic(self):
         a = restart_weights(4, 5)
         b = restart_weights(4, 5)
@@ -239,12 +281,6 @@ class TestExhaustive:
             assert val <= cache[(n, d)] + 1e-8
 
 
-def etf_bound(n, d):
-    """Upper bound on Pi(n, d), attained exactly when d equiangular
-    unit vectors form a tight frame of R^n (Koenig, Lewis and Lin)."""
-    return n / d + np.sqrt(n * (d - 1) * (d - n)) / d
-
-
 class TestClosedForms:
     @pytest.mark.parametrize("n, d", [(n, d) for d in range(2, 7)
                                       for n in range(1, d)])
@@ -255,6 +291,11 @@ class TestClosedForms:
             assert gap <= 1e-12
         else:
             assert gap > 0.03
+
+    @pytest.mark.parametrize("n, d", [(0, 3), (4, 3), (1, 0)])
+    def test_etf_bound_rejects_n_outside_1_to_d(self, n, d):
+        with pytest.raises(PreconditionError, match=f"n={n} .*d={d}"):
+            etf_bound(n, d)
 
     def test_three_in_five(self):
         # Chalmers and Lewicki: Pi(3, 5) = (5 + 4 sqrt 2) / 7

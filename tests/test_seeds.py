@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from projconst import PreconditionError
+from projconst import PreconditionError, etf_bound
 from projconst.seeds import C_ICOSA, SEEDS, get_seed, paley
 
 PHI = (1 + np.sqrt(5)) / 2
@@ -44,6 +44,16 @@ def test_positivity_of_named_seeds():
 def test_icosa_row_sums_are_golden():
     sums = np.abs(get_seed("icosa6").entries).sum(axis=1)
     assert np.abs(sums - PHI).max() <= 1e-12
+
+
+@pytest.mark.parametrize("name, q", [("icosa6", 5), ("paley13", 13),
+                                     ("paley17", 17)])
+def test_paley_seed_row_sums_attain_etf_bound(name, q):
+    p = get_seed(name)
+    assert (p.d, p.n) == (q + 1, (q + 1) // 2)
+    sums = np.abs(p.entries).sum(axis=1)
+    assert np.abs(sums - etf_bound(p.n, p.d)).max() <= 1e-12
+    assert np.abs(sums - (1 + np.sqrt(q)) / 2).max() <= 1e-12
 
 
 def test_unknown_seed():
