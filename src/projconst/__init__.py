@@ -9,7 +9,8 @@ Perron radii, trace duality, and exact linear programming.
 
 from .almostmin import (Certificate, PipelineResult, almost_minimal, certify,
                         eta_of_eps)
-from .blowup import BlowupSpec, blow_up, lift_eigenvectors, weighted_equivalent
+from .blowup import (BlockProjection, BlowupSpec, blow_up, lift_eigenvectors,
+                     weighted_equivalent)
 from .eigsum import (CuccSelection, EqualityCase, GapBound, cucc_selection,
                      equality_case, kyfan_sum, pi_n_general,
                      spectral_gap_bound)
@@ -31,10 +32,10 @@ from .seeds import C_ICOSA, SEEDS, get_seed
 __version__ = "0.1.0"
 
 __all__ = [
-    "AttainmentResult", "BlowupSpec", "C_ICOSA", "Certificate",
-    "CuccSelection", "DualityWitness", "EqualityCase", "GapBound",
-    "GuardRefusal", "InvariantViolation", "LpProjection", "NumericalError",
-    "OrthoProjection", "PipelineResult", "PreconditionError",
+    "AttainmentResult", "BlockProjection", "BlowupSpec", "C_ICOSA",
+    "Certificate", "CuccSelection", "DualityWitness", "EqualityCase",
+    "GapBound", "GuardRefusal", "InvariantViolation", "LpProjection",
+    "NumericalError", "OrthoProjection", "PipelineResult", "PreconditionError",
     "ProjconstError", "RationalWeights", "ResourceExhausted", "RowSumStats",
     "SEEDS", "SearchResult", "SignMatrix", "Spectrum",
     "SubspaceBasis", "SymMatrix", "WeightVector", "WitnessConstraintError",

@@ -13,24 +13,43 @@ operator norm, and the trace-duality lower bound Tr(AP) for a witness A
 with AP = PAP; gap_rows = R - r measures how far |P| is from a multiple
 of a doubly stochastic matrix and gap_minimality bounds the distance of
 ||P|| from the minimal projection norm onto range(P).
+
+Everything after the Dirichlet step runs on the block form of P (a
+:class:`~projconst.blowup.BlockProjection`): the multiplicities p and the
+m x m rank-n projection Pi = U U^t of the weighted problem, with block
+values beta_ij = Pi_ij / sqrt(p_i p_j) and D = diag(p).  The certificate
+identities are
+
+- row sums of |P| in block i: sum_j p_j |beta_ij|;
+- rho(|P|) = rho(|Pi|), Perron vector of |P| in block i: v_i / sqrt(p_i);
+- Sgn(P) = blow-up of Sgn(beta) with the same p, so the sign refinement
+  never leaves the block form;
+- for the block-constant witness with values alpha: nu1 =
+  sum_i p_i max_j |alpha_ij|, AP = PAP iff
+  alpha D beta = beta D alpha D beta, and Tr(AP) = sum_i p_i
+  (alpha D beta)_ii.
+
+All cost O(m^3) whatever d is.  Dense d x d matrices are built only on
+request (``PipelineResult.P`` and ``.S``) and in the one case where the
+Ky Fan maximizer is not block-constant, both behind the d <= 4096 guard.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .blowup import BlowupSpec, blow_up, lift_eigenvectors, weighted_equivalent
+from .blowup import BlockProjection, BlowupSpec, blow_up, weighted_equivalent
 from .errors import (PreconditionError, ResourceExhausted,
                      WitnessConstraintError)
 from .eigsum import kyfan_sum
 from .matcore import (OrthoProjection, SignMatrix, eig_sym, matrix_to_json,
-                      perron, row_sum_stats, sign_matrix_of,
-                      validate_projection)
+                      perron, sign_matrix_of, validate_projection)
 from .rationalize import choose_k, dirichlet_approx
-from .relproj import operator_norm, trace_certificate
+from .relproj import trace_certificate
 
 _DENSE_SIZE_LIMIT = 4096
 _MAX_REFINE = 64
@@ -74,14 +93,32 @@ class Certificate:
 
 @dataclass(frozen=True, eq=False)
 class PipelineResult:
-    d: int
-    P: OrthoProjection
-    S: SignMatrix
+    """The projection ``blocks`` and the sign matrix ``spec`` whose Ky Fan
+    maximizer it is, both in block form, with the certificate of the
+    projection.  ``P`` and ``S`` build the dense d x d matrices on first
+    access, up to d = 4096."""
+
+    blocks: BlockProjection
+    spec: BlowupSpec
     cert: Certificate
     eta: float
     eps: float
     converged: bool
     iterations: int
+
+    @property
+    def d(self) -> int:
+        return self.blocks.d
+
+    @cached_property
+    def P(self) -> OrthoProjection:
+        _check_dense(self.d)
+        return self.blocks.dense()
+
+    @cached_property
+    def S(self) -> SignMatrix:
+        _check_dense(self.d)
+        return blow_up(self.spec)
 
     def to_json(self, include_matrices: bool = False) -> dict:
         out = {"d": self.d, "eta": self.eta, "eps": self.eps,
@@ -94,52 +131,79 @@ class PipelineResult:
         return out
 
 
-def certify(p: OrthoProjection) -> Certificate:
+def certify(p: OrthoProjection | BlockProjection) -> Certificate:
     """Certificate for a projection: Perron radius of |P| (when positive),
     extreme absolute row sums, l1 operator norm, and a trace-duality lower
     bound for the minimal projection norm onto range(P).
 
+    A dense P is the blow-up of itself with all multiplicities 1, so
+    every step runs on block values (see the ``blowup`` module docstring)
+    and costs O(m^3) for a :class:`BlockProjection` of an m x m core.
     The duality witness is A = D Sgn(P) with D the squared Perron weights
     of |P|; when it fails AP = PAP against P itself, the uniform witness
     Sgn(P)/d is tried instead.  An invalid witness leaves lower_bound
     absent rather than reporting an uncertified number.
     """
-    stats = row_sum_stats(p.entries)
-    op = operator_norm(p.entries, "l1")
+    blocks = BlockProjection.of(p)
+    sizes = blocks.sizes
+    a = np.abs(blocks.values)
+    # Row and column sums of |P| per block, reduced as the dense
+    # row_sum_stats and operator_norm reduce them.
+    rows = (a * sizes).sum(axis=1)
+    r, big_r = float(rows.min()), float(rows.max())
+    op = float((sizes[:, None] * a).sum(axis=0).max())
     rho: float | None = None
     lower: float | None = None
     kind: str | None = None
-    if p.abs_is_positive():
-        rho, v = perron(p.abs_entries())
-        signs = sign_matrix_of(p)
-        weights = v * v
-        weights = weights / weights.sum()
+    if blocks.abs_is_positive():
+        rho, v = perron(np.abs(blocks.core.entries))
+        signs = blocks.signs().base.entries
+        # Perron vector J v of |P|: block i holds v_i / sqrt(p_i).
+        weights = v * v / sizes
+        weights = weights / (sizes * weights).sum()
         candidates = (
-            ("perron", weights[:, None] * signs.entries),
-            ("uniform", signs.entries / p.d),
+            ("perron", weights[:, None] * signs),
+            ("uniform", signs / blocks.d),
         )
         for name, witness in candidates:
             try:
-                cert = trace_certificate(witness, p, "l1")
+                cert = trace_certificate(witness, blocks, "l1")
             except WitnessConstraintError:
                 continue
             lower, kind = cert.value, name
             break
     gap_min = None if lower is None else op - lower
-    return Certificate(rho, stats.r, stats.R, op, lower, stats.gap,
-                       gap_min, kind)
+    return Certificate(rho, r, big_r, op, lower, big_r - r, gap_min, kind)
 
 
-def _kyfan_via_lifting(spec: BlowupSpec, n: int) -> OrthoProjection | None:
-    """Rank-n Ky Fan maximizer of the blown-up sign matrix from the m x m
-    weighted problem; None when the top-n eigenvalues are not all positive
-    (the blow-up kernel would then enter the maximizer).  The projection
-    constructor is its only check."""
+def _check_dense(d: int) -> None:
+    """The one guard on dense d x d matrices in the pipeline."""
+    if d > _DENSE_SIZE_LIMIT:
+        raise ResourceExhausted(
+            f"a dense {d} x {d} matrix exceeds the cap {_DENSE_SIZE_LIMIT}; "
+            f"the block form has no cap")
+
+
+def _kyfan_blocks(spec: BlowupSpec,
+                  n: int) -> tuple[BlowupSpec, BlockProjection]:
+    """Rank-n Ky Fan maximizer of blow_up(spec) as the blow-up of the
+    projection onto the top-n eigenvectors of weighted_equivalent(spec).
+
+    When those n eigenvalues are not all positive the blow-up kernel
+    enters the maximizer, which is then not block-constant: the dense
+    maximizer is taken instead, behind the dense guard, and both the sign
+    matrix and the projection are returned as their own blow-ups with all
+    multiplicities 1."""
     small = eig_sym(weighted_equivalent(spec).entries)
-    if small.eigenvalues[n - 1] <= 0:
-        return None
-    lifted = lift_eigenvectors(spec, small.eigenvectors[:, :n])
-    return validate_projection(lifted @ lifted.T, n)
+    if small.eigenvalues[n - 1] > 0:
+        u = small.eigenvectors[:, :n]
+        return spec, BlockProjection(validate_projection(u @ u.T, n),
+                                     spec.multiplicities)
+    _check_dense(spec.d)
+    s = blow_up(spec)
+    _, p = kyfan_sum(s.entries, n)
+    ones = (1,) * spec.d
+    return BlowupSpec(s, ones), BlockProjection(p, ones)
 
 
 def almost_minimal(n: int, eps: float, seed: OrthoProjection) -> PipelineResult:
@@ -150,8 +214,9 @@ def almost_minimal(n: int, eps: float, seed: OrthoProjection) -> PipelineResult:
     Pipeline: eta budget, Perron weights of |seed|, Dirichlet
     rationalization into multiplicities, blow-up of Sgn(seed), Ky Fan
     maximizer of the blow-up (lifted from the small weighted problem),
-    sign fixed-point refinement, certificate.  Oscillating refinements are
-    reported with converged=False and the best iterate.
+    sign fixed-point refinement, certificate, all in block form.
+    Oscillating refinements are reported with converged=False and the
+    last iterate.
     """
     eta = eta_of_eps(n, eps)
     if not seed.abs_is_positive():
@@ -167,29 +232,18 @@ def almost_minimal(n: int, eps: float, seed: OrthoProjection) -> PipelineResult:
     eps0 = float(weights.min())
     k = choose_k(n, m, eta, eps0)
     rational = dirichlet_approx(weights, k)
-    d = rational.q
-    if d > _DENSE_SIZE_LIMIT:
-        raise ResourceExhausted(
-            f"blow-up dimension d={d} exceeds the dense materialization "
-            f"cap {_DENSE_SIZE_LIMIT}; increase eps or supply a closer "
-            f"rational seed", best_q=d)
 
-    base = sign_matrix_of(seed)
-    spec = BlowupSpec(base, rational.p)
-    s = blow_up(spec)
-    p = _kyfan_via_lifting(spec, n)
-    if p is None:
-        _, p = kyfan_sum(s.entries, n)
-
+    # Sgn of a block-constant P is the blow-up of Sgn of its block values
+    # with the same multiplicities, so the refinement stays in block form.
+    spec, p = _kyfan_blocks(BlowupSpec(sign_matrix_of(seed), rational.p), n)
     converged = False
     iterations = 0
     for iterations in range(1, _MAX_REFINE + 1):
-        s_next = sign_matrix_of(p)
-        if np.array_equal(s_next.entries, s.entries):
+        s_next = p.signs()
+        if np.array_equal(s_next.base.entries, spec.base.entries):
             converged = True
             break
-        s = s_next
-        _, p = kyfan_sum(s.entries, n)
+        spec, p = _kyfan_blocks(s_next, n)
 
     cert = certify(p)
-    return PipelineResult(d, p, s, cert, eta, eps, converged, iterations)
+    return PipelineResult(p, spec, cert, eta, eps, converged, iterations)

@@ -99,7 +99,8 @@ def _cmd_almost_min(args) -> int:
     result = almostmin.almost_minimal(args.n, args.eps, seed)
     _note(f"almost-min n={args.n} eps={args.eps}: d={result.d}, "
           f"rho={result.cert.rho!r}, gap_rows={result.cert.gap_rows!r}, "
-          f"converged={result.converged}")
+          f"converged={result.converged}, "
+          f"witness={result.cert.witness_kind}")
     _emit(result.to_json(include_matrices=args.matrices), args.out)
     return EXIT_OK
 
@@ -194,7 +195,8 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", required=True,
                    help=f"seed name ({seed_names}) or matrix JSON file")
     p.add_argument("--matrices", action="store_true",
-                   help="include P and S in the JSON output")
+                   help="include the dense P and S in the JSON output "
+                        "(d <= 4096; exit 3 above)")
     _add_validation_tol(p)
     _add_out(p)
     p.set_defaults(func=_cmd_almost_min)

@@ -17,6 +17,9 @@ import numpy as np
 from .errors import PreconditionError, ResourceExhausted
 
 DEFAULT_Q_CAP = 10**6
+# The scan takes chunks of q that double from _FIRST_CHUNK up to
+# _SCAN_CHUNK, so a small q costs a small chunk.
+_FIRST_CHUNK = 1 << 8
 _SCAN_CHUNK = 1 << 17
 
 
@@ -84,8 +87,11 @@ def dirichlet_approx(weights, k: int, q_cap: int | None = None) -> RationalWeigh
     target = 1.0 / k
     best_q, best_err = 0, np.inf
     found_q = 0
-    for lo in range(1, q_cap + 1, _SCAN_CHUNK):
-        qs = np.arange(lo, min(lo + _SCAN_CHUNK, q_cap + 1), dtype=float)
+    lo, size = 1, _FIRST_CHUNK
+    while lo <= q_cap:
+        hi = min(lo + size, q_cap + 1)
+        qs = np.arange(lo, hi, dtype=float)
+        lo, size = hi, min(2 * size, _SCAN_CHUNK)
         if head.size:
             prod = qs[:, None] * head[None, :]
             errs = np.abs(prod - np.round(prod)).max(axis=1)

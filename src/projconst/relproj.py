@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._simplex import solve_lp
+from .blowup import BlockProjection
 from .errors import (InvariantViolation, NumericalError, PreconditionError,
                      WitnessConstraintError, WitnessNormalizationError)
 from .eigsum import kyfan_sum
@@ -109,9 +110,14 @@ def nu1(a, space: str) -> float:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise PreconditionError("nu1 requires a square matrix")
     _check_space(space)
-    if space == "linf":
-        return float(np.abs(m).max(axis=0).sum())
-    return float(np.abs(m).max(axis=1).sum())
+    return _block_nu1(m, np.ones(m.shape[0]), space)
+
+
+def _block_nu1(alpha: np.ndarray, sizes: np.ndarray, space: str) -> float:
+    """nu1 of the block-constant matrix with block values ``alpha`` and
+    block sizes ``sizes``; all sizes 1 is the dense case."""
+    axis = 0 if space == "linf" else 1
+    return float((sizes * np.abs(alpha).max(axis=axis)).sum())
 
 
 def operator_norm(q, space: str) -> float:
@@ -207,32 +213,37 @@ def min_projection_norm(basis: SubspaceBasis, space: str) -> LpProjection:
     return LpProjection(value, q, witness, res.iterations)
 
 
-def trace_certificate(a, p: OrthoProjection, space: str) -> DualityWitness:
+def trace_certificate(a, p, space: str) -> DualityWitness:
     """Validate a trace-duality witness and return its certified value.
 
     ``p`` is the orthogonal projection P onto the subspace E (for a basis,
-    ``SubspaceBasis.orthogonal_projection()``).  Requires finite entries,
-    nu1(A) = 1 within 1e-9 and AP = PAP within 1e-8; the value Tr(AP),
-    the correctly rounded sum of the diagonal of AP, is then <= Pi(E).
+    ``SubspaceBasis.orthogonal_projection()``), dense or as a
+    :class:`BlockProjection`; for the latter ``a`` holds the block values
+    of a block-constant witness, and nu1(A), AP - PAP and Tr(AP) are read
+    off the block values (see the ``blowup`` module docstring).  Requires
+    finite entries, nu1(A) = 1 within 1e-9 and AP = PAP within 1e-8; the
+    value Tr(AP), the correctly rounded sum of the diagonal of AP, is then
+    <= Pi(E).
     """
     m = _as_square_array(_entries_of(a), "witness")
     _check_space(space)
-    if not isinstance(p, OrthoProjection):
-        raise PreconditionError("p must be the OrthoProjection onto E")
-    if m.shape != p.entries.shape:
+    blocks = BlockProjection.of(p)
+    beta, sizes = blocks.values, blocks.sizes
+    if m.shape != beta.shape:
         raise PreconditionError(
-            f"witness has shape {m.shape}, the subspace lives in "
-            f"dimension d={p.d}")
-    norm = nu1(m, space)
+            f"witness has shape {m.shape}, expected {beta.shape}: the "
+            f"subspace lives in dimension d={blocks.d}")
+    norm = _block_nu1(m, sizes, space)
     if abs(norm - 1.0) > 1e-9:
         raise WitnessNormalizationError(
             f"nu1(A) = {norm:.12g}, expected 1 within 1e-9")
-    mp = m @ p.entries
-    defect = float(np.abs(mp - p.entries @ mp).max())
+    # Block values of AP and PAP; multiplying by sizes of 1 is exact.
+    mp = (m * sizes) @ beta
+    defect = float(np.abs(mp - (beta * sizes) @ mp).max())
     if defect > 1e-8:
         raise WitnessConstraintError(
             f"AP = PAP violated by {defect:.3e} (tolerance 1e-8)")
-    return DualityWitness(m, space, math.fsum(np.diagonal(mp)))
+    return DualityWitness(m, space, math.fsum(sizes * np.diagonal(mp)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -11,6 +11,10 @@ paley13, paley17 — the rank-7 and rank-9 projectors (I + C/sqrt(q))/2 of
           and q = 17; absolute row sums all (1+sqrt(q))/2.
 trivial1 — the 1 x 1 identity.
 
+``perturbed_hex3(rng)`` draws unnamed seeds with the hexagonal sign
+pattern but non-uniform Perron weights, whose blow-ups grow without bound
+as eps -> 0.
+
 The icosahedral conference matrix is the Paley construction over GF(5);
 ``paley(q)`` builds the same family for every prime q = 1 (mod 4), and
 (I + C/sqrt(q))/2 is then a rank-(q+1)/2 projection of l1^(q+1) whose
@@ -52,6 +56,15 @@ C_ICOSA = paley(5)
 
 def hex3() -> OrthoProjection:
     return validate_projection(np.eye(3) - np.ones((3, 3)) / 3.0, 2)
+
+
+def perturbed_hex3(rng: np.random.Generator) -> OrthoProjection:
+    """The rank-2 Ky Fan maximizer of sqrt(D) S sqrt(D) for the hex3 sign
+    pattern S = 2I - J and weights D drawn from Dirichlet(1, 1, 1)."""
+    s = 2.0 * np.eye(3) - 1.0
+    sq = np.sqrt(rng.dirichlet(np.ones(3)))
+    v = np.linalg.eigh(s * sq[:, None] * sq[None, :])[1][:, -2:]
+    return validate_projection(v @ v.T, 2)
 
 
 def paley_projection(q: int) -> OrthoProjection:

@@ -1,13 +1,16 @@
+import functools
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from projconst import (BlowupSpec, PreconditionError, almost_minimal,
+from projconst import (BlockProjection, BlowupSpec, PreconditionError,
+                       ResourceExhausted, SignMatrix, almost_minimal,
                        blow_up, certify, choose_k, dirichlet_approx, eig_sym,
-                       eta_of_eps, perron, sign_matrix_of,
+                       eta_of_eps, kyfan_sum, perron, sign_matrix_of,
                        validate_projection)
-from projconst.almostmin import _kyfan_via_lifting
-from projconst.seeds import get_seed, paley
+from projconst.almostmin import _kyfan_blocks
+from projconst.seeds import get_seed, paley, perturbed_hex3
 
 PHI = (1 + np.sqrt(5)) / 2
 J3 = np.ones((3, 3))
@@ -78,13 +81,14 @@ class TestCertify:
                 assert cert.lower_bound <= cert.op_norm_l1 + 1e-9
 
 
-def pipeline_spec(seed, n, eps):
+def pipeline_spec(seed, n, eps, q_cap=None):
     """The blow-up that almost_minimal builds from ``seed``."""
     _, v = perron(seed.abs_entries())
     weights = v * v
     weights = weights / weights.sum()
     k = choose_k(n, seed.d, eta_of_eps(n, eps), float(weights.min()))
-    return BlowupSpec(sign_matrix_of(seed), dirichlet_approx(weights, k).p)
+    return BlowupSpec(sign_matrix_of(seed),
+                      dirichlet_approx(weights, k, q_cap).p)
 
 
 def rotated_hex3(rng_seed):
@@ -108,8 +112,9 @@ class TestLifting:
         # the top-n eigenspace is unique, so both projectors must agree
         assert dense.eigenvalues[n - 1] - dense.eigenvalues[n] > 1e-9
         v = dense.eigenvectors[:, :n]
-        p = _kyfan_via_lifting(spec, n)
-        assert np.abs(v @ v.T - p.entries).max() <= 1e-8
+        out_spec, p = _kyfan_blocks(spec, n)
+        assert out_spec is spec and p.d == d
+        assert np.abs(v @ v.T - p.dense().entries).max() <= 1e-8
 
 
 class TestPipeline:
@@ -160,24 +165,160 @@ class TestPipeline:
             almost_minimal(3, 0.5, get_seed("hex3"))
 
     def test_perturbed_seed_still_certifies(self):
-        # a near-hexagonal subspace: rotate the hexagon plane slightly so
-        # the Perron weights are no longer exactly uniform
-        from scipy.linalg import expm
-
-        from projconst import ResourceExhausted
-        rng = np.random.default_rng(61)
-        base = get_seed("hex3").entries
-        g = rng.standard_normal((3, 3)) * 0.05
-        g = g - g.T  # skew-symmetric generator
-        rot = expm(g)
-        seed = validate_projection(rot @ base @ rot.T, 2)
-        if not seed.abs_is_positive():
-            pytest.skip("perturbation produced a zero entry")
-        try:
-            res = almost_minimal(2, 32.0, seed)
-        except ResourceExhausted:
-            pytest.skip("irrational weights demanded an oversized blow-up")
+        # a near-hexagonal subspace: the hexagon plane rotated slightly,
+        # so the Perron weights are no longer exactly uniform
+        seed = rotated_hex3(61)
+        assert seed.abs_is_positive()
+        res = almost_minimal(2, 32.0, seed)
+        assert res.d == 515 and res.converged
         cert = res.cert
         assert cert.r - 1e-9 <= cert.rho <= cert.R + 1e-9
-        if res.converged and cert.lower_bound is not None:
-            assert cert.lower_bound <= cert.op_norm_l1 + 1e-9
+        assert cert.witness_kind == "uniform"
+        assert cert.lower_bound <= cert.op_norm_l1 + 1e-9
+
+
+BAND_EPS = 24.0
+
+
+@functools.lru_cache(maxsize=None)
+def band_seeds():
+    """The first perturbed_hex3 draw of default_rng(3) per blow-up band at
+    eps = 24, d in [300, 350), [450, 500), ..., [900, 950)."""
+    rng = np.random.default_rng(3)
+    out = []
+    for lo in (300, 450, 600, 750, 900):
+        while True:
+            seed = perturbed_hex3(rng)
+            if np.abs(seed.entries).min() <= 1e-6:
+                continue
+            try:
+                d = pipeline_spec(seed, 2, BAND_EPS, q_cap=10**4).d
+            except ResourceExhausted:
+                continue
+            if lo <= d < lo + 50:
+                out.append(seed)
+                break
+    return out
+
+
+def dense_pipeline(seed, n, eps):
+    """almost_minimal on dense d x d matrices: the dense Ky Fan maximizer
+    of the blow-up and of every refined sign matrix, certified densely."""
+    s = blow_up(pipeline_spec(seed, n, eps))
+    _, p = kyfan_sum(s.entries, n)
+    converged = False
+    for iterations in range(1, 65):
+        s_next = sign_matrix_of(p)
+        if np.array_equal(s_next.entries, s.entries):
+            converged = True
+            break
+        s = s_next
+        _, p = kyfan_sum(s.entries, n)
+    return p, s, certify(p), converged, iterations
+
+
+CERT_FIELDS = ("rho", "r", "R", "op_norm_l1", "lower_bound", "gap_rows",
+               "gap_minimality")
+
+
+def assert_certs_agree(a, b, tol):
+    assert a.witness_kind == b.witness_kind
+    for name in CERT_FIELDS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x is None) == (y is None), name
+        if x is not None:
+            assert abs(x - y) <= tol, name
+
+
+class TestBlockForm:
+    def test_sign_of_lift_is_blowup_of_block_signs(self):
+        rng = np.random.default_rng(70)
+        moved = fixed = 0
+        for _ in range(60):
+            m = int(rng.integers(2, 7))
+            upper = np.triu(2.0 * rng.integers(0, 2, size=(m, m)) - 1.0, 1)
+            base = SignMatrix(upper + upper.T + np.eye(m))
+            mult = tuple(int(x) for x in rng.integers(1, 5, m))
+            n = int(rng.integers(1, m + 1))
+            spec, p = _kyfan_blocks(BlowupSpec(base, mult), n)
+            if spec.multiplicities != mult:
+                continue  # dense fallback: not a block-constant lift
+            lifted = sign_matrix_of(p.dense())
+            block_signs = BlowupSpec(sign_matrix_of(p.values), mult)
+            assert np.array_equal(lifted.entries,
+                                  blow_up(block_signs).entries)
+            assert np.array_equal(p.signs().base.entries,
+                                  block_signs.base.entries)
+            if np.array_equal(block_signs.base.entries, base.entries):
+                fixed += 1
+            else:
+                moved += 1
+        # both kinds of lift occur: fixed points and lifts that refine
+        assert moved >= 10 and fixed >= 10
+
+    def test_certify_block_form_matches_dense(self):
+        # random ranges (no witness), Ky Fan lifts of random sign patterns
+        # and named seeds blown up evenly (Perron witness)
+        rng = np.random.default_rng(71)
+        cases = [BlockProjection(get_seed(name), (k,) * get_seed(name).d)
+                 for name, k in (("hex3", 4), ("icosa6", 3))]
+        for _ in range(30):
+            m = int(rng.integers(2, 6))
+            n = int(rng.integers(1, m))
+            mult = tuple(int(x) for x in rng.integers(1, 6, m))
+            q, _ = np.linalg.qr(rng.standard_normal((m, n)))
+            cases.append(BlockProjection(validate_projection(q @ q.T, n),
+                                         mult))
+            upper = np.triu(2.0 * rng.integers(0, 2, size=(m, m)) - 1.0, 1)
+            spec = BlowupSpec(SignMatrix(upper + upper.T + np.eye(m)), mult)
+            cases.append(_kyfan_blocks(spec, n)[1])
+        kinds = set()
+        for blocks in cases:
+            cert = certify(blocks)
+            assert_certs_agree(cert, certify(blocks.dense()), 1e-12)
+            kinds.add(cert.witness_kind)
+        assert kinds == {"perron", "uniform", None}
+
+    def test_dense_fallback_when_kernel_enters(self):
+        # the all-plus pattern has weighted spectrum (1, 0): at n = 2 the
+        # maximizer takes a vector of the blow-up kernel
+        spec = BlowupSpec(SignMatrix(np.ones((2, 2))), (2, 3))
+        out_spec, p = _kyfan_blocks(spec, 2)
+        assert out_spec.multiplicities == p.multiplicities == (1,) * 5
+        assert np.array_equal(out_spec.base.entries, np.ones((5, 5)))
+        _, dense = kyfan_sum(np.ones((5, 5)), 2)
+        assert np.array_equal(p.values, dense.entries)
+
+    def test_dense_fallback_is_guarded(self):
+        spec = BlowupSpec(SignMatrix(np.ones((2, 2))), (2049, 2048))
+        with pytest.raises(ResourceExhausted, match="4097"):
+            _kyfan_blocks(spec, 2)
+
+    def test_dense_output_is_guarded(self):
+        res = almost_minimal(2, 16.0, perturbed_hex3(np.random.default_rng(3)))
+        assert res.d == 27207 and res.converged
+        assert res.cert.lower_bound is not None
+        for name in ("P", "S"):
+            with pytest.raises(ResourceExhausted, match="27207"):
+                getattr(res, name)
+
+    @pytest.mark.parametrize("case", [
+        "hex3", "icosa6", "trivial1", "rotated-hex3-d515", "band0", "band1",
+        "band2", "band3", "band4"])
+    def test_compressed_matches_dense_pipeline(self, case):
+        n, eps = 2, BAND_EPS
+        if case in ("hex3", "icosa6", "trivial1"):
+            seed = get_seed(case)
+            n, eps = seed.n, 0.1
+        elif case == "rotated-hex3-d515":
+            seed, eps = rotated_hex3(61), 32.0
+        else:
+            seed = band_seeds()[int(case[-1])]
+        res = almost_minimal(n, eps, seed)
+        assert res.d <= 2048
+        p, s, cert, converged, iterations = dense_pipeline(seed, n, eps)
+        assert (res.d, res.converged, res.iterations) == (
+            p.d, converged, iterations)
+        assert np.array_equal(res.S.entries, s.entries)
+        assert np.abs(res.P.entries - p.entries).max() <= 1e-10
+        assert_certs_agree(res.cert, cert, 1e-10)

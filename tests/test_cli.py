@@ -7,6 +7,7 @@ import pytest
 
 from projconst.cli import main
 from projconst.matcore import matrix_to_json
+from projconst.seeds import perturbed_hex3
 
 
 def run_cli(capsys, *argv):
@@ -80,6 +81,54 @@ def test_almost_min_known_seeds(capsys):
     cert = json.loads(out)["certificate"]
     assert abs(cert["rho"] - 4 / 3) <= 1e-9
     assert abs(cert["gap_minimality"]) <= 1e-9
+
+
+@pytest.mark.parametrize("seed, n, digest, witness", [
+    ("hex3", 2, "14f9a01649880ffb3420a7eab9d3c227"
+                "c9f2cd51612ab8c2b5947e9d55bf7ef9", "perron"),
+    ("icosa6", 3, "d4a33c11f737f7408f83f83affacd845"
+                  "008c219200ff31e27f528ba442a8599b", "perron"),
+    ("trivial1", 1, "b2b6617da8cd21145ed69498d8c2b9dc"
+                    "2013e58b311d850dfbb3b91439f29f61", "perron"),
+])
+def test_almost_min_named_seed_stdout_pinned(capsys, seed, n, digest,
+                                             witness):
+    # sha256 of the stdout recorded from the dense d x d pipeline
+    code, out, err = run_cli(capsys, "almost-min", "--n", str(n), "--eps",
+                             "0.1", "--seed", seed)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert err.rstrip().endswith(f"converged=True, witness={witness}")
+
+
+def write_perturbed_hex3(tmp_path):
+    path = tmp_path / "hex3-perturbed.json"
+    seed = perturbed_hex3(np.random.default_rng(3))
+    path.write_text(json.dumps(matrix_to_json(seed)))
+    return str(path)
+
+
+def test_almost_min_beyond_dense_cap(tmp_path, capsys):
+    # d = 27207 runs in block form; only dense output is capped
+    path = write_perturbed_hex3(tmp_path)
+    code, out, err = run_cli(capsys, "almost-min", "--n", "2", "--eps", "16",
+                             "--seed", path)
+    assert code == 0
+    data = json.loads(out)
+    assert data["d"] == 27207 and data["converged"] is True
+    cert = data["certificate"]
+    assert cert["r"] <= cert["rho"] <= cert["R"]
+    assert cert["lower_bound"] <= cert["op_norm_l1"]
+    assert "d=27207" in err and "witness=uniform" in err
+
+
+def test_almost_min_matrices_beyond_dense_cap(tmp_path, capsys):
+    path = write_perturbed_hex3(tmp_path)
+    code, out, err = run_cli(capsys, "almost-min", "--n", "2", "--eps", "16",
+                             "--seed", path, "--matrices")
+    assert code == 3
+    assert out == ""
+    assert "resource error" in err and "4096" in err
 
 
 def test_almost_min_unknown_seed(capsys):

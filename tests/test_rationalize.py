@@ -21,6 +21,23 @@ class TestChooseK:
             choose_k(0, 1, 1.0, 1.0)
 
 
+def assert_matches_plain_scan(w, k, q_cap):
+    """The scan grows its chunks; the first hit and the first global
+    minimum of one plain scan over q = 1..q_cap must not change."""
+    prod = np.arange(1, q_cap + 1, dtype=float)[:, None] * w[:-1]
+    errs = np.abs(prod - np.round(prod)).max(axis=1)
+    hits = np.flatnonzero(errs <= 1 / k) + 1
+    if hits.size:
+        res = dirichlet_approx(w, k, q_cap=q_cap)
+        assert res.q == hits[0]
+        assert res.p[:-1] == tuple(int(x) for x in np.round(hits[0] * w[:-1]))
+    else:
+        with pytest.raises(ResourceExhausted) as err:
+            dirichlet_approx(w, k, q_cap=q_cap)
+        assert err.value.best_err == errs.min()
+        assert err.value.best_q == int(np.argmin(errs)) + 1
+
+
 class TestDirichletApprox:
     def test_already_rational(self):
         res = dirichlet_approx([1 / 3, 1 / 3, 1 / 3], 10)
@@ -83,6 +100,30 @@ class TestDirichletApprox:
             for q in range(1, res.q):
                 prod = q * w[:-1]
                 assert np.abs(prod - np.round(prod)).max() > 1 / k
+
+    @pytest.mark.parametrize("k, q_cap", [
+        (40, 5000), (2000, 5000), (10**6, 5000), (10**6, 256), (10**6, 257)])
+    def test_matches_linear_scan(self, k, q_cap):
+        rng = np.random.default_rng(32)
+        for m in (2, 3, 4):
+            assert_matches_plain_scan(rng.dirichlet(np.ones(m)), k, q_cap)
+
+    @pytest.mark.parametrize("q", [256, 257, 768, 769, 1793])
+    def test_matches_linear_scan_at_chunk_edges(self, q):
+        # 101/q + 1e-10 is within 1/k of a multiple only at q (k = 10^6),
+        # and q is the unique best denominator below the cap (k = 10^8)
+        w = np.array([101 / q + 1e-10, 1 - 101 / q - 1e-10])
+        assert_matches_plain_scan(w, 10**6, q + 50)
+        assert dirichlet_approx(w, 10**6, q_cap=q + 50).q == q
+        assert_matches_plain_scan(w, 10**8, q + 50)
+
+    def test_cap_exhausted_reports_first_minimum(self):
+        # exact dyadic errors: q = 1 and q = 511 (another chunk) tie at
+        # 1/512, and the tie goes to q = 1
+        assert_matches_plain_scan(np.array([1 / 512, 511 / 512]), 1000, 511)
+        with pytest.raises(ResourceExhausted) as err:
+            dirichlet_approx([1 / 512, 511 / 512], 1000, q_cap=511)
+        assert err.value.best_q == 1 and err.value.best_err == 1 / 512
 
     def test_dirichlet_guarantee_within_bound(self):
         # existence below k^(m-1) for irrational weights

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from projconst import PreconditionError, etf_bound
-from projconst.seeds import C_ICOSA, SEEDS, get_seed, paley
+from projconst.seeds import C_ICOSA, SEEDS, get_seed, paley, perturbed_hex3
 
 PHI = (1 + np.sqrt(5)) / 2
 
@@ -59,3 +59,11 @@ def test_paley_seed_row_sums_attain_etf_bound(name, q):
 def test_unknown_seed():
     with pytest.raises(PreconditionError):
         get_seed("nosuch")
+
+
+def test_perturbed_hex3_keeps_the_hexagonal_pattern():
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        p = perturbed_hex3(rng)
+        assert p.n == 2 and p.abs_is_positive()
+        assert np.array_equal(np.sign(p.entries), 2 * np.eye(3) - 1)
