@@ -47,59 +47,13 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Invariant checks and spectral steps on stacks: each takes a (..., d, d)
-# stack (or a (..., d) stack of eigenvalues), so the constructors and
+# Spectral steps on stacks: each takes a (..., d, d) stack, so the
 # functions below apply them to one matrix and the batched search ascent
 # to all of its lanes at once.  Stacked matmul and LAPACK loops give every
-# matrix the same bits it gets on its own.  A failing stack raises the
-# error of its first failing matrix.
-
-def _check_signs(a: np.ndarray) -> None:
-    if not np.array_equal(a, a.swapaxes(-1, -2)):
-        raise InvariantViolation("sign matrix symmetry")
-    if not np.all(np.abs(a) == 1.0):
-        raise InvariantViolation("sign matrix entries in {-1,+1}")
-    if not np.all(np.diagonal(a, axis1=-2, axis2=-1) == 1.0):
-        raise InvariantViolation("sign matrix unit diagonal")
-
-
-def _check_descending(w: np.ndarray) -> None:
-    if np.any(np.diff(w, axis=-1) > 0):
-        raise InvariantViolation("eigenvalues sorted descending")
-
-
-_PROJECTION_CHECKS = ("symmetry", "idempotence", "trace equals rank",
-                      "eigenvalues in {0,1}")
-
-
-def _check_projections(a: np.ndarray, n: int, tol: float) -> np.ndarray:
-    """Check every (d, d) matrix of the (B, d, d) stack ``a`` against the
-    rank-n projection invariants of :class:`OrthoProjection` and return
-    the symmetrized stack.  A matrix fails when a measure exceeds its
-    tolerance (a non-finite measure counts as failed) and reports its
-    worst violation relative to its tolerance."""
-    at = a.swapaxes(-1, -2)
-    sym = 0.5 * (a + at)
-    evals = np.linalg.eigvalsh(sym)
-    eig_dev = np.abs(evals - np.round(evals)).max(axis=-1)
-    on_01 = np.minimum(np.abs(evals), np.abs(evals - 1.0)).max(axis=-1)
-    measures = np.stack([
-        np.abs(a - at).max(axis=(-2, -1)),
-        np.abs(a @ a - a).max(axis=(-2, -1)),
-        np.abs(np.trace(a, axis1=-2, axis2=-1) - n),
-        np.maximum(eig_dev, on_01),
-    ], axis=-1)
-    tols = np.array([tol, tol, tol, 10 * tol])
-    ok = measures <= tols
-    failed = np.flatnonzero(~ok.all(axis=-1))
-    if failed.size:
-        i = failed[0]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            k = int(np.argmax(np.where(ok[i], -np.inf, measures[i] / tols)))
-        raise InvariantViolation(_PROJECTION_CHECKS[k], float(measures[i, k]),
-                                 detail=f"tolerance {tols[k]:g}")
-    return sym
-
+# matrix the same bits it gets on its own.  The invariant checks live in
+# the constructors of the matrix classes, which see each value once, as
+# it is returned; inside the ascent only the Perron steps check their
+# output, so that a failed eigensolve raises NumericalError.
 
 def _eigh_descending(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of the symmetrized stack ``m``, eigenvalues descending,
@@ -146,7 +100,6 @@ def _perron_pairs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Perron pairs of the strictly positive, symmetric (B, d, d) stack
     ``a`` from its full spectra, at every d."""
     w, vs = _eigh_descending(a)
-    _check_descending(w)
     return w[:, 0], _perron_vectors(a, w[:, 0], vs[..., 0])
 
 
@@ -183,7 +136,12 @@ class SignMatrix:
 
     def __post_init__(self):
         a = _as_square_array(self.entries, "SignMatrix")
-        _check_signs(a)
+        if not np.array_equal(a, a.T):
+            raise InvariantViolation("sign matrix symmetry")
+        if not np.all(np.abs(a) == 1.0):
+            raise InvariantViolation("sign matrix entries in {-1,+1}")
+        if not np.all(np.diagonal(a) == 1.0):
+            raise InvariantViolation("sign matrix unit diagonal")
         object.__setattr__(self, "entries", _freeze(a))
 
     @property
@@ -216,6 +174,10 @@ class WeightVector:
         return bool(np.all(self.w > 0))
 
 
+_PROJECTION_CHECKS = ("symmetry", "idempotence", "trace equals rank",
+                      "eigenvalues in {0,1}")
+
+
 @dataclass(frozen=True, eq=False)
 class OrthoProjection:
     """Symmetric idempotent d x d matrix of rank n.
@@ -238,7 +200,22 @@ class OrthoProjection:
         n = self.n
         if not (0 <= n <= a.shape[0]):
             raise PreconditionError(f"rank {n} out of range for d={a.shape[0]}")
-        sym = _check_projections(a[None], n, tol)[0]
+        sym = 0.5 * (a + a.T)
+        evals = np.linalg.eigvalsh(sym)
+        measures = np.array([
+            np.abs(a - a.T).max(),
+            np.abs(a @ a - a).max(),
+            abs(np.trace(a) - n),
+            max(np.abs(evals - np.round(evals)).max(),
+                np.minimum(np.abs(evals), np.abs(evals - 1.0)).max()),
+        ])
+        tols = np.array([tol, tol, tol, 10 * tol])
+        ok = measures <= tols  # a non-finite measure fails
+        if not ok.all():
+            with np.errstate(divide="ignore", invalid="ignore"):
+                k = int(np.argmax(np.where(ok, -np.inf, measures / tols)))
+            raise InvariantViolation(_PROJECTION_CHECKS[k], float(measures[k]),
+                                     detail=f"tolerance {tols[k]:g}")
         object.__setattr__(self, "entries", _freeze(sym))
 
     @property
@@ -271,7 +248,8 @@ class Spectrum:
         v = np.asarray(self.eigenvectors, dtype=float)
         if w.ndim != 1 or v.shape != (w.size, w.size):
             raise PreconditionError("spectrum shape mismatch")
-        _check_descending(w)
+        if np.any(np.diff(w) > 0):
+            raise InvariantViolation("eigenvalues sorted descending")
         object.__setattr__(self, "eigenvalues", _freeze(w))
         object.__setattr__(self, "eigenvectors", _freeze(v))
 

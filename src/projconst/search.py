@@ -18,19 +18,24 @@ decreases; fixed points are reported as converged.
 
 One batched kernel, ``_ascend``, runs the ascent for all B starts of a
 search at once: the signs are a (B, d, d) stack and the weights a (B, d)
-stack.  An iteration makes one batched ``eigh`` for the Ky Fan step, one
-stacked projection check, one batched Perron solve on the lanes whose |P|
-is strictly positive, and vectorized sign and weight updates; lanes that
-converge leave the batch.  The stacked steps live in ``matcore`` beside
-the one-matrix functions that use them, and every lane gets the same bits
-as its start run alone, so results do not depend on the batch.
+stack, plain arrays.  An iteration makes one batched ``eigh`` for the Ky
+Fan step, one batched Perron solve on the lanes whose |P| is strictly
+positive, and vectorized sign and weight updates; lanes that converge
+leave the batch.  The stacked steps live in ``matcore`` beside the
+one-matrix functions that use them, and every lane gets the same bits as
+its start run alone, so results do not depend on the batch.
 ``alternate_maximize`` is the kernel at B = 1.
+
+Validation happens once, at the boundary: the kernel checks its inputs,
+and the lane it returns becomes a ``SearchResult`` through the
+``SignMatrix``, ``WeightVector`` and ``OrthoProjection`` constructors.
+The iterates in between are valid by construction and go unchecked,
+except that a failed Perron solve raises ``NumericalError``.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -38,10 +43,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import GuardRefusal, PreconditionError
-from .matcore import (DEFAULT_TOL, SIGN_ZERO_TOL, OrthoProjection, SignMatrix,
-                      WeightVector, _check_descending, _check_projections,
-                      _check_signs, _eigh_descending, _perron_pairs,
-                      _signs, matrix_to_json)
+from .matcore import (SIGN_ZERO_TOL, OrthoProjection, SignMatrix, WeightVector,
+                      _eigh_descending, _perron_pairs, _signs, matrix_to_json)
 
 EXHAUSTIVE_MAX_D = 7
 _RESTART_SEED = 20240913
@@ -54,8 +57,10 @@ _FIXED_POINT_WEIGHT_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class SearchResult:
-    """Best (S, D) pair found, with the Ky Fan maximizer P of
-    sqrt(D) S sqrt(D), the objective value, and convergence data."""
+    """The (S, D) pair the best run last stepped from, with the Ky Fan
+    maximizer P of sqrt(D) S sqrt(D), its objective value, and convergence
+    data.  Value and P belong to this (S, D) whether the run converged
+    (reached a fixed point or stopped improving) or ran out of iterations."""
 
     S: SignMatrix
     D: WeightVector
@@ -106,9 +111,9 @@ def alternate_maximize(n: int, s0: SignMatrix, d0: WeightVector,
 
 
 class _Lanes(NamedTuple):
-    """Per-lane outcome of :func:`_ascend`: final (S, D), the value and
-    maximizer P of the last step, and each lane's value history (NaN
-    past its last iteration)."""
+    """Per-lane outcome of :func:`_ascend`: the (S, D) of the last step,
+    its value and maximizer P, and each lane's value history (NaN past
+    its last iteration)."""
 
     n: int
     value: np.ndarray        # (B,)
@@ -138,8 +143,9 @@ def _ascend(n: int, s: np.ndarray, w: np.ndarray, max_iter: int) -> _Lanes:
     Each iteration takes one batched step for the lanes still running
     and drops those that reached a fixed point or stopped improving.
     The steps are the per-matrix ones of kyfan_sum, sign_matrix_of and
-    perron, with the same checks, on stacks; every lane gets the bits it
-    gets alone.
+    perron on stacks, so every lane gets the bits it gets alone.  The
+    inputs are checked here and each lane again as it becomes a
+    SearchResult, not on every iteration.
     """
     b, d = s.shape[0], s.shape[-1]
     if not (1 <= n <= d):
@@ -159,14 +165,13 @@ def _ascend(n: int, s: np.ndarray, w: np.ndarray, max_iter: int) -> _Lanes:
     for it in range(max_iter):
         sq = np.sqrt(w)
         evals, evecs = _eigh_descending(s * sq[:, :, None] * sq[:, None, :])
-        _check_descending(evals)
         value = evals[:, :n].sum(axis=1)
         top = evecs[:, :, :n]
-        p = _check_projections(top @ top.swapaxes(1, 2), n, DEFAULT_TOL)
+        p = top @ top.swapaxes(1, 2)
+        p = 0.5 * (p + p.swapaxes(1, 2))  # exactly symmetric, as stored
         out.history[lanes, it] = value
 
         s_next = _signs(p, SIGN_ZERO_TOL)
-        _check_signs(s_next)
         w_next = w.copy()
         positive = np.all(np.abs(p) > SIGN_ZERO_TOL, axis=(1, 2))
         if positive.any():
@@ -179,16 +184,15 @@ def _ascend(n: int, s: np.ndarray, w: np.ndarray, max_iter: int) -> _Lanes:
                     <= _FIXED_POINT_WEIGHT_TOL))
         done = fixed | (np.abs(value - prev) <= _VALUE_TOL)
         stop = done | (it == max_iter - 1)
-        # A converged lane reports the (S, D) it stepped from; a lane out
-        # of iterations reports its last update.
+        # Every stopping lane reports the (S, D) it stepped from, the one
+        # its value and P belong to.
         fin = lanes[stop]
-        conv = done[stop]
         out.value[fin] = value[stop]
+        out.s[fin] = s[stop]
+        out.w[fin] = w[stop]
         out.p[fin] = p[stop]
         out.iterations[fin] = it + 1
-        out.converged[fin] = conv
-        out.s[fin] = np.where(conv[:, None, None], s[stop], s_next[stop])
-        out.w[fin] = np.where(conv[:, None], w[stop], w_next[stop])
+        out.converged[fin] = done[stop]
 
         go = ~stop
         lanes, s, w, prev = lanes[go], s_next[go], w_next[go], value[go]
@@ -217,15 +221,11 @@ _CHUNK_BITS = 7
 _IMAGE_BLOCK = 1 << 20
 
 
-def _slots(d: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(d) for j in range(i + 1, d)]
-
-
 def _image_tables(d: int) -> np.ndarray:
     """(d! - 1, chunks, 128) int32 tables, one row per non-identity vertex
     permutation, most fixed points first.  Entry c of table k is the image
     of the code whose chunk k holds c and whose other chunks are 0."""
-    slots = np.array(_slots(d))
+    slots = np.transpose(np.triu_indices(d, 1))
     length = len(slots)
     index = np.zeros((d, d), dtype=np.int64)
     index[slots[:, 0], slots[:, 1]] = np.arange(length)
@@ -277,22 +277,24 @@ def _canonical_reps(d: int) -> tuple[int, ...]:
     return tuple(int(x) for x in survivors)
 
 
-def _decode(code: int, d: int) -> SignMatrix:
-    s = np.ones((d, d))
-    slots = _slots(d)
-    length = len(slots)
-    for e, (i, j) in enumerate(slots):
-        if not (code >> (length - 1 - e)) & 1:
-            s[i, j] = s[j, i] = -1.0
-    return SignMatrix(s)
+def _decode(codes, d: int) -> np.ndarray:
+    """(C, d, d) stack of the sign matrices with the upper-triangle codes
+    ``codes``, in the encoding above."""
+    length = d * (d - 1) // 2
+    bits = (np.asarray(codes, dtype=np.int64)[:, None]
+            >> np.arange(length - 1, -1, -1)) & 1
+    i, j = np.triu_indices(d, 1)
+    s = np.ones((len(bits), d, d))
+    s[:, i, j] = s[:, j, i] = 2.0 * bits - 1.0
+    return s
 
 
-def _floored_dirichlet(rng: np.random.Generator, d: int) -> WeightVector:
+def _floored_dirichlet(rng: np.random.Generator, d: int) -> np.ndarray:
     """Flat Dirichlet draw lifted off the simplex boundary by a floor, so
     every weight is strictly positive."""
     w = rng.dirichlet(np.ones(d))
     w = (w + _RESTART_WEIGHT_FLOOR) / (1.0 + d * _RESTART_WEIGHT_FLOOR)
-    return WeightVector(w / w.sum())
+    return w / w.sum()
 
 
 def restart_weights(d: int, count: int) -> list[WeightVector]:
@@ -300,17 +302,15 @@ def restart_weights(d: int, count: int) -> list[WeightVector]:
     positive pseudo-random simplex points from a fixed seed."""
     rng = np.random.default_rng(_RESTART_SEED)
     uniform = WeightVector(np.full(d, 1.0 / d))
-    return [uniform] + [_floored_dirichlet(rng, d) for _ in range(count - 1)]
+    return [uniform] + [WeightVector(_floored_dirichlet(rng, d))
+                        for _ in range(count - 1)]
 
 
-def _best_run(n: int, starts: Iterable[tuple[SignMatrix, WeightVector]],
+def _best_run(n: int, s: np.ndarray, w: np.ndarray,
               max_iter: int) -> SearchResult:
-    """Best ascent over the (sign matrix, weights) starts, all stepped
-    together.  The first maximal value wins, so ties go to the earliest
-    start."""
-    signs, weights = zip(*starts)
-    lanes = _ascend(n, np.stack([s0.entries for s0 in signs]),
-                    np.stack([d0.w for d0 in weights]), max_iter)
+    """Best ascent over the starts (s[i], w[i]), all stepped together.
+    The first maximal value wins, so ties go to the earliest start."""
+    lanes = _ascend(n, s, w, max_iter)
     return lanes.result(int(np.argmax(lanes.value)))
 
 
@@ -334,9 +334,10 @@ def exhaustive_pi(n: int, d: int, restarts: int = 5) -> SearchResult:
     # Representatives come in ascending canonical order, which is
     # lexicographic on sign vectors, so the earliest-start tie-break of
     # _best_run picks the lexicographically smallest candidate.
-    reps = [_decode(code, d) for code in _canonical_reps(d)]
-    starts = itertools.product(reps, restart_weights(d, restarts))
-    return _best_run(n, starts, _EXHAUSTIVE_MAX_ITER)
+    reps = _decode(_canonical_reps(d), d)
+    weights = np.stack([w.w for w in restart_weights(d, restarts)])
+    return _best_run(n, np.repeat(reps, restarts, axis=0),
+                     np.tile(weights, (len(reps), 1)), _EXHAUSTIVE_MAX_ITER)
 
 
 def alternating_pi(n: int, d: int, restarts: int = 5) -> SearchResult:
@@ -351,10 +352,10 @@ def alternating_pi(n: int, d: int, restarts: int = 5) -> SearchResult:
     if not (1 <= n <= d):
         raise PreconditionError(f"n={n} out of range 1..d (d={d})")
     rng = np.random.default_rng(_RESTART_SEED)
-    starts = []
-    for _ in range(restarts):
-        upper = rng.integers(0, 2, size=(d, d))
-        s = np.triu(2.0 * upper - 1.0, 1)
-        starts.append((SignMatrix(s + s.T + np.eye(d)),
-                       _floored_dirichlet(rng, d)))
-    return _best_run(n, starts, _ALTERNATING_MAX_ITER)
+    s = np.empty((restarts, d, d))
+    w = np.empty((restarts, d))
+    for k in range(restarts):
+        upper = np.triu(2.0 * rng.integers(0, 2, size=(d, d)) - 1.0, 1)
+        s[k] = upper + upper.T + np.eye(d)
+        w[k] = _floored_dirichlet(rng, d)
+    return _best_run(n, s, w, _ALTERNATING_MAX_ITER)

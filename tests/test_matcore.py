@@ -8,7 +8,6 @@ from projconst import (InvariantViolation, OrthoProjection,
                        WeightVector, eig_sym, matrix_from_json,
                        matrix_to_json, perron, row_sum_stats, sign_matrix_of,
                        validate_projection)
-from projconst.matcore import _check_projections
 from projconst.seeds import icosa6
 
 J3 = np.ones((3, 3))
@@ -178,22 +177,23 @@ class TestValidateProjection:
         with pytest.raises(InvariantViolation):
             validate_projection(0.5 * np.eye(3), 1)
 
-    def test_stack_reports_first_failing_lane(self):
-        # lanes: a valid rank-2 projection, then diag(1, 1/2, 1/2) (trace
-        # 2, symmetric, idempotence its worst violation), then the identity
-        # (trace 3); the earliest failing lane names the invariant
-        good = np.eye(3) - J3 / 3
-        lazy = np.diag([1.0, 0.5, 0.5])
-        full = np.eye(3)
-        sym = _check_projections(np.stack([good, good]), 2, 1e-9)
-        assert np.array_equal(sym[1], hex_projection().entries)
+    def test_reports_worst_violation(self):
+        # diag(1, 1/2, 1/2) has trace 2 and is symmetric, so idempotence is
+        # its worst violation; the identity at rank 2 fails the trace; a
+        # hexagon skewed within tolerance comes back exactly symmetrized
         with pytest.raises(InvariantViolation) as err:
-            _check_projections(np.stack([good, lazy, full]), 2, 1e-9)
+            validate_projection(np.diag([1.0, 0.5, 0.5]), 2)
         assert err.value.invariant == "idempotence"
         assert err.value.violation == 0.25
         with pytest.raises(InvariantViolation) as err:
-            _check_projections(np.stack([good, full, lazy]), 2, 1e-9)
+            validate_projection(np.eye(3), 2)
         assert err.value.invariant == "trace equals rank"
+        skew = np.eye(3) - J3 / 3
+        skew[0, 1] += 1e-12
+        p = validate_projection(skew, 2)
+        assert np.array_equal(p.entries, 0.5 * (skew + skew.T))
+        assert np.array_equal(p.entries, p.entries.T)
+        assert np.abs(p.entries - hex_projection().entries).max() <= 1e-12
 
     def test_trace_equals_eigenvalue_one_multiplicity(self):
         rng = np.random.default_rng(5)

@@ -202,6 +202,24 @@ class TestCanonicalEnumeration:
         assert hashlib.sha256(text.encode()).hexdigest() == \
             CANONICAL_DIGESTS[d]
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7])
+    def test_decode_matches_encoding(self, d):
+        # every code at d <= 5 and the class representatives at d = 6, 7,
+        # against a slot-by-slot decode: the (0,1) slot is the most
+        # significant bit and bit 1 means +1
+        slots = list(itertools.combinations(range(d), 2))
+        length = len(slots)
+        codes = range(1 << length) if d <= 5 else _canonical_reps(d)
+        stack = _decode(codes, d)
+        assert stack.shape == (len(codes), d, d)
+        for code, s in zip(codes, stack):
+            expected = np.ones((d, d))
+            for e, (i, j) in enumerate(slots):
+                if not code >> (length - 1 - e) & 1:
+                    expected[i, j] = expected[j, i] = -1.0
+            assert np.array_equal(s, expected)
+            assert np.array_equal(SignMatrix(s).entries, expected)
+
     def test_restart_weights_deterministic(self):
         a = restart_weights(4, 5)
         b = restart_weights(4, 5)
@@ -332,13 +350,20 @@ class TestAscentKernel:
         # each lane the bits of its start run alone; at max_iter = 3 the
         # batch mixes converged lanes with lanes that ran out of iterations
         n, d = 2, 5
-        starts = [(_decode(code, d), w) for code in _canonical_reps(d)
+        starts = [(SignMatrix(s), w) for s in _decode(_canonical_reps(d), d)
                   for w in restart_weights(d, 5)]
         lanes = _ascend(n, np.stack([s.entries for s, _ in starts]),
                         np.stack([w.w for _, w in starts]), max_iter)
         if max_iter == 3:
             assert 0 < np.count_nonzero(lanes.converged) < len(starts)
         for i, (s0, d0) in enumerate(starts):
+            # converged or not, a lane's value and P belong to the (S, D)
+            # it reports
+            sq = np.sqrt(lanes.w[i])
+            a = lanes.s[i] * sq[:, None] * sq[None, :]
+            assert abs(np.linalg.eigvalsh(a)[-n:].sum()
+                       - lanes.value[i]) <= 1e-12
+            assert np.abs(a @ lanes.p[i] - lanes.p[i] @ a).max() <= 1e-12
             alone = alternate_maximize(n, s0, d0, max_iter=max_iter)
             k = alone.iterations
             assert lanes.iterations[i] == k
