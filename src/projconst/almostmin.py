@@ -96,7 +96,13 @@ class PipelineResult:
     """The projection ``blocks`` and the sign matrix ``spec`` whose Ky Fan
     maximizer it is, both in block form, with the certificate of the
     projection.  ``P`` and ``S`` build the dense d x d matrices on first
-    access, up to d = 4096."""
+    access, up to d = 4096.
+
+    ``seed_gap`` checks the premise of the construction: the largest
+    entry of |P0 - Q|, with Q the rank-n Ky Fan maximizer of
+    sqrt(D) Sgn(P0) sqrt(D) and D the squared Perron weights of |P0|.
+    It is 0 up to rounding when the seed P0 is a Perron-weighted Ky Fan
+    maximizer; only then do the certificate gaps shrink with eps."""
 
     blocks: BlockProjection
     spec: BlowupSpec
@@ -105,6 +111,7 @@ class PipelineResult:
     eps: float
     converged: bool
     iterations: int
+    seed_gap: float
 
     @property
     def d(self) -> int:
@@ -220,10 +227,10 @@ def almost_minimal(n: int, eps: float, seed: OrthoProjection) -> PipelineResult:
 
     ``converged`` means only that the sign refinement reached a fixed
     point.  The certificate gaps shrink with eps only when ``seed`` is a
-    Ky Fan maximizer for the Perron weights of |seed|: for
-    ``perturbed_hex3(default_rng(3))``, eps 32, 16 and 8 (d = 646,
-    27,207, 69,110) all converge and stay at gap_minimality 0.0561 and
-    gap_rows 0.1188.
+    Ky Fan maximizer for the Perron weights of |seed|, which
+    ``seed_gap`` reports: for ``perturbed_hex3(default_rng(3))``
+    (seed_gap 0.142), eps 32, 16 and 8 (d = 646, 27,207, 69,110) all
+    converge and stay at gap_minimality 0.0561 and gap_rows 0.1188.
     """
     eta = eta_of_eps(n, eps)
     if not seed.abs_is_positive():
@@ -236,13 +243,17 @@ def almost_minimal(n: int, eps: float, seed: OrthoProjection) -> PipelineResult:
     _, v = perron(seed.abs_entries())
     weights = v * v
     weights = weights / weights.sum()
+    signs = sign_matrix_of(seed)
+    sq = np.sqrt(weights)
+    top = np.linalg.eigh(signs.entries * np.outer(sq, sq))[1][:, -n:]
+    seed_gap = float(np.abs(top @ top.T - seed.entries).max())
     eps0 = float(weights.min())
     k = choose_k(n, m, eta, eps0)
     rational = dirichlet_approx(weights, k)
 
     # Sgn of a block-constant P is the blow-up of Sgn of its block values
     # with the same multiplicities, so the refinement stays in block form.
-    spec, p = _kyfan_blocks(BlowupSpec(sign_matrix_of(seed), rational.p), n)
+    spec, p = _kyfan_blocks(BlowupSpec(signs, rational.p), n)
     converged = False
     iterations = 0
     for iterations in range(1, _MAX_REFINE + 1):
@@ -253,4 +264,5 @@ def almost_minimal(n: int, eps: float, seed: OrthoProjection) -> PipelineResult:
         spec, p = _kyfan_blocks(s_next, n)
 
     cert = certify(p)
-    return PipelineResult(p, spec, cert, eta, eps, converged, iterations)
+    return PipelineResult(p, spec, cert, eta, eps, converged, iterations,
+                          seed_gap)

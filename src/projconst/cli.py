@@ -99,7 +99,7 @@ def _cmd_almost_min(args) -> int:
     result = almostmin.almost_minimal(args.n, args.eps, seed)
     _note(f"almost-min n={args.n} eps={args.eps}: d={result.d}, "
           f"rho={result.cert.rho!r}, gap_rows={result.cert.gap_rows!r}, "
-          f"converged={result.converged}, "
+          f"seed_gap={result.seed_gap!r}, converged={result.converged}, "
           f"witness={result.cert.witness_kind}")
     _emit(result.to_json(include_matrices=args.matrices), args.out)
     return EXIT_OK

@@ -3,11 +3,15 @@ projection constant.
 
 The objective is pi_n(sqrt(D) S sqrt(D)) over sign matrices S and simplex
 weights D.  Both searches run the alternating ascent from a list of
-(S, D) starts and keep the best run.  Exhaustive search starts from one
-representative per graph isomorphism class of sign matrices (the
-objective is invariant under simultaneous row/column permutation) with a
-fixed set of weight restarts; alternating search starts from seeded
-random sign matrices and weights.  The ascent:
+(S, D) starts and keep the best run.  The objective is invariant under
+simultaneous row/column permutation and under Seidel switching
+S -> ESE with E diagonal +-1: sqrt(D) ESE sqrt(D) = E sqrt(D) S sqrt(D) E
+has the same spectrum, its maximizer is EPE, and |EPE| = |P| has the
+same Perron weights.  Exhaustive search therefore starts from sign
+matrices whose row and column 0 are all +1 and whose lower
+(d-1) x (d-1) block is one representative per graph isomorphism class
+on d - 1 vertices, with a fixed set of weight restarts; alternating
+search starts from seeded random sign matrices and weights.  The ascent:
 
   (i)   P  <- Ky Fan maximizer of sqrt(D) S sqrt(D),
   (ii)  S  <- sign pattern of P with zeros replaced by +1,
@@ -46,7 +50,7 @@ from .errors import GuardRefusal, PreconditionError
 from .matcore import (SIGN_ZERO_TOL, OrthoProjection, SignMatrix, WeightVector,
                       _eigh_descending, _perron_pairs, _signs, matrix_to_json)
 
-EXHAUSTIVE_MAX_D = 7
+EXHAUSTIVE_MAX_D = 8
 _RESTART_SEED = 20240913
 _RESTART_WEIGHT_FLOOR = 1e-3
 _EXHAUSTIVE_MAX_ITER = 100
@@ -316,10 +320,15 @@ def _best_run(n: int, s: np.ndarray, w: np.ndarray,
 
 def exhaustive_pi(n: int, d: int, restarts: int = 5) -> SearchResult:
     """Maximize pi_n(sqrt(D) S sqrt(D)) over all sign matrices S of size d
-    (one representative per isomorphism class) with the weights optimized
-    per representative by restarted alternation.
+    with the weights optimized per start by restarted alternation.
 
-    Refuses d above 7: the candidate space has 2^(d(d-1)/2) members.
+    Every sign matrix is switched by E = diag(S[0]) to row 0 all +1 and
+    then permuted, fixing vertex 0, to a start whose lower block is a
+    canonical representative on d - 1 vertices (1,044 starts at d = 8).
+    The result is the best start's ascent, so its S is one
+    representative of a switching class of maximizers.
+
+    Refuses d above 8: the candidate space has 2^(d(d-1)/2) members.
     """
     if d > EXHAUSTIVE_MAX_D:
         raise GuardRefusal(
@@ -331,10 +340,12 @@ def exhaustive_pi(n: int, d: int, restarts: int = 5) -> SearchResult:
         raise PreconditionError(f"n={n} out of range 1..{d}")
     if restarts < 1:
         raise PreconditionError("restarts must be >= 1")
-    # Representatives come in ascending canonical order, which is
-    # lexicographic on sign vectors, so the earliest-start tie-break of
-    # _best_run picks the lexicographically smallest candidate.
-    reps = _decode(_canonical_reps(d), d)
+    # Lower-block codes ascend, and so do the full codes, whose leading
+    # bits are the +1 entries of row 0, so the earliest-start tie-break of
+    # _best_run picks the lexicographically smallest start.
+    lower = _decode(_canonical_reps(d - 1), d - 1)
+    reps = np.ones((len(lower), d, d))
+    reps[:, 1:, 1:] = lower
     weights = np.stack([w.w for w in restart_weights(d, restarts)])
     return _best_run(n, np.repeat(reps, restarts, axis=0),
                      np.tile(weights, (len(reps), 1)), _EXHAUSTIVE_MAX_ITER)
@@ -345,7 +356,7 @@ def alternating_pi(n: int, d: int, restarts: int = 5) -> SearchResult:
     pseudo-random starts: a uniform random sign matrix of size d and
     strictly positive simplex weights, drawn from a fixed seed.
 
-    A lower bound at any d; exhaustive_pi gives the exact value up to d = 7.
+    A lower bound at any d; exhaustive_pi gives the exact value up to d = 8.
     """
     if restarts < 1:
         raise PreconditionError("restarts must be >= 1")

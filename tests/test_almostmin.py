@@ -164,6 +164,20 @@ class TestPipeline:
         with pytest.raises(PreconditionError):
             almost_minimal(3, 0.5, get_seed("hex3"))
 
+    @pytest.mark.parametrize("name", ["hex3", "icosa6", "paley13",
+                                      "paley17", "trivial1"])
+    def test_named_seeds_are_perron_weighted_maximizers(self, name):
+        seed = get_seed(name)
+        assert almost_minimal(seed.n, 0.1, seed).seed_gap <= 1e-12
+
+    def test_seed_gap_flags_a_seed_off_the_premise(self):
+        # the Ky Fan maximizer for random weights, not for the Perron
+        # weights of its own |P|: the gaps stay put as eps shrinks
+        seed = perturbed_hex3(np.random.default_rng(3))
+        res = almost_minimal(2, 32.0, seed)
+        assert res.seed_gap > 0.1
+        assert "seed_gap" not in res.to_json()
+
     def test_perturbed_seed_still_certifies(self):
         # a near-hexagonal subspace: the hexagon plane rotated slightly,
         # so the Perron weights are no longer exactly uniform

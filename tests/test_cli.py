@@ -24,15 +24,15 @@ def test_search_exhaustive_hexagon(capsys):
     assert abs(data["value"] - 4 / 3) <= 1e-9
     assert data["converged"] is True
     assert "value" in err  # summary goes to stderr
-    # 4 classes x 5 weight restarts
-    assert "20 ascent runs, 150 iterations, 0 not converged" in err
+    # 2 lower-block classes (on 2 vertices) x 5 weight restarts
+    assert "10 ascent runs, 75 iterations, 0 not converged" in err
 
 
 @pytest.mark.parametrize("n, d, status, digest", [
-    (3, 6, "attained", "fd34a7d57f16e76afd3f42384d874937"
-                       "f8ed20e4400bbae20024a6c9fba07d94"),
-    (2, 5, "lower bound", "6bb343f9e263792a200bf0ef2d585c3a"
-                          "0e44b27b618812c4ef77b97182647833"),
+    (3, 6, "attained", "eddb8105e4e59766b3f8f17033ea74d1"
+                       "2bfc3164239897625b307f246db30dbe"),
+    (2, 5, "lower bound", "07ca30523c07694794b87078af793b22"
+                          "f924f754cc0d86f7f95574a6ba2aca75"),
 ])
 def test_search_note_brackets_value_with_etf_bound(capsys, n, d, status,
                                                    digest):

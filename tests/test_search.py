@@ -18,27 +18,28 @@ PHI = (1 + np.sqrt(5)) / 2
 HEX_S = 2 * np.eye(3) - np.ones((3, 3))
 
 # sha256 of the stdout of
-# `projconst search --exhaustive --n N --d D --restarts R`, recorded before
-# the ascent was batched.
+# `projconst search --exhaustive --n N --d D --restarts R`, recorded when the
+# starts became sign matrices with row 0 all +1 over the graph classes on
+# d - 1 vertices.
 EXHAUSTIVE_DIGESTS = {
-    (2, 3, 5): "55d1cbea6144f60bdcaf795d7380b4b0"
-               "4abd9e7573ec8f76f2b77c3547c5a8f5",
-    (1, 4, 5): "e059a23a0524917285ac39b06ac910c0"
-               "af617d6c4b1cb8d1edc2d6434d142926",
-    (2, 4, 5): "7a438525c42494f194ed33c02b6ff984"
-               "3be8ee42703829048eee0470e50feca7",
-    (3, 4, 5): "9ff49a7e04791fb066eb5e7bef5609df"
-               "7eb4e10a222fcb90662a739c15783b67",
-    (2, 5, 5): "6bb343f9e263792a200bf0ef2d585c3a"
-               "0e44b27b618812c4ef77b97182647833",
-    (3, 5, 5): "a7926c2f84970be26aea4673387c6921"
-               "543092949d232036099d36d80b385c2f",
-    (4, 5, 5): "9479a6662368b41f936ddea985f4f5de"
-               "4a19010e0e69c60519cf544b435c0568",
-    (3, 6, 5): "fd34a7d57f16e76afd3f42384d874937"
-               "f8ed20e4400bbae20024a6c9fba07d94",
-    (1, 7, 1): "2ee4e12bd50810c8cbed25dfc5d1d0ef"
-               "9237ecd8fc3a5b623baf2f68beabe33c",
+    (2, 3, 5): "fc3ff42d1b352d0bcdcb223ab3b5fe71"
+               "4dbc1eff518f1daeb8286e71f66917fc",
+    (1, 4, 5): "460d5bbccf41a8e6e6d50385b81a7551"
+               "bb223e937d30f454763df67a60626b13",
+    (2, 4, 5): "c00627200c3bb145e902bec6d678b463"
+               "3abb3e133c4169e6dd34507985f33e20",
+    (3, 4, 5): "7513ad99be524f5cd69e9eca57f15c75"
+               "14f5dca744066ef4b26a923975da45b8",
+    (2, 5, 5): "07ca30523c07694794b87078af793b22"
+               "f924f754cc0d86f7f95574a6ba2aca75",
+    (3, 5, 5): "18b498ca97b02084f743e22c790998c6"
+               "9a1f0580312eb949bcbc21a0c0d6182d",
+    (4, 5, 5): "5abb9479ee0b2c3edb5439a307069ae0"
+               "c3e1f3dd6176a438a63e5f43809e19cc",
+    (3, 6, 5): "eddb8105e4e59766b3f8f17033ea74d1"
+               "2bfc3164239897625b307f246db30dbe",
+    (1, 7, 1): "3ca6039b8328657e82975363ee614225"
+               "d9ab89be3beb1118c0016bbaff63230e",
 }
 
 
@@ -49,6 +50,45 @@ CANONICAL_DIGESTS = {
     6: "995555965de9494ff13be62e028482bc78db6d92f400fc8304bc44cfd92b4609",
     7: "cb0450eee4c3f597f4eb71166861586c9206aa5166d274300f16003ec6288482",
 }
+
+
+# exhaustive_pi(n, d, restarts).value of the search that started from every
+# graph class on d vertices (commit d927666), keyed (n, d, restarts).
+UNREDUCED_VALUES = {
+    (1, 1, 5): 1.0,
+    (1, 2, 5): 1.0000000000000002,
+    (2, 2, 5): 1.0000000000000002,
+    (1, 3, 5): 1.0000000000000004,
+    (2, 3, 5): 1.3333333333333333,
+    (3, 3, 5): 1.0000000000000004,
+    (1, 4, 5): 1.0000000000000004,
+    (2, 4, 5): 1.3333333333333308,
+    (3, 4, 5): 1.5000000000000009,
+    (4, 4, 5): 1.0000000000000002,
+    (1, 5, 5): 1.0000000000000007,
+    (2, 5, 5): 1.3333333333333321,
+    (3, 5, 5): 1.5224077499252011,
+    (4, 5, 5): 1.6000000000000008,
+    (5, 5, 5): 1.0,
+    (1, 6, 5): 1.000000000000001,
+    (2, 6, 5): 1.3333333333333337,
+    (3, 6, 5): 1.618033988749895,
+    (4, 6, 5): 1.6666666666666672,
+    (5, 6, 5): 1.6666666666666676,
+    (6, 6, 5): 1.0000000000000002,
+    (1, 7, 5): 1.000000000000001,
+    (2, 7, 5): 1.3333333333333337,
+    (3, 7, 5): 1.6180339887498785,
+    (4, 7, 5): 1.7397684553298496,
+    (5, 7, 5): 1.7536285900761852,
+    (6, 7, 5): 1.7142857142857142,
+    (7, 7, 5): 1.0000000000000002,
+    (1, 7, 1): 1.0000000000000009,
+}
+
+# Pi(n, 8) for n = 1..8; 7/4 = 2 - 2/8 at n = 7 attains etf_bound(7, 8).
+PI_8 = {1: 1.0, 2: 4 / 3, 3: PHI, 4: 1.792301511352, 5: 1.837703961051,
+        6: 1.825707106918, 7: 1.75, 8: 1.0}
 
 
 def uniform(d):
@@ -75,6 +115,16 @@ def orbit_minima(d):
 
     return [min(image(code, t) for t in targets)
             for code in range(1 << length)]
+
+
+def encode(s):
+    """Upper-triangle code of the sign matrix s, bit 1 meaning +1, the
+    (0,1) slot most significant."""
+    d = len(s)
+    code = 0
+    for i, j in itertools.combinations(range(d), 2):
+        code = 2 * code + int(s[i, j] > 0)
+    return code
 
 
 def cli_digest(result):
@@ -233,7 +283,10 @@ class TestExhaustive:
     def test_hexagon_value(self):
         res = exhaustive_pi(2, 3)
         assert abs(res.value - 4 / 3) <= 1e-9
-        assert np.array_equal(res.S.entries, HEX_S)
+        # a switching of HEX_S: switching keeps the triangle product
+        # s01 s02 s12, and on 3 vertices that product fixes the class
+        s = res.S.entries
+        assert s[0, 1] * s[0, 2] * s[1, 2] == -1
         assert np.allclose(res.D.w, 1 / 3, atol=1e-9)
 
     def test_trivial_dimension(self):
@@ -251,14 +304,14 @@ class TestExhaustive:
         assert cli_digest(result) == EXHAUSTIVE_DIGESTS[n, d, restarts]
 
     def test_counters_cover_every_start(self):
-        # one ascent run per (class representative, weight restart); the
-        # totals are those of the per-start search before batching
+        # one ascent run per (lower-block class of d - 1 vertices, weight
+        # restart)
         results = [exhaustive_cached(*key) for key in EXHAUSTIVE_DIGESTS]
-        assert sum(r.runs for r in results) == 2519
-        assert sum(r.ascent_iterations for r in results) == 21810
+        assert sum(r.runs for r in results) == 561
+        assert sum(r.ascent_iterations for r in results) == 5241
         assert sum(r.nonconverged for r in results) == 0
         hexagon = exhaustive_cached(3, 6, 5)
-        assert (hexagon.runs, hexagon.ascent_iterations) == (780, 13994)
+        assert (hexagon.runs, hexagon.ascent_iterations) == (170, 3082)
 
     def test_dominates_alternating(self):
         rng = np.random.default_rng(16)
@@ -297,6 +350,50 @@ class TestExhaustive:
             if val == -np.inf:
                 continue
             assert val <= cache[(n, d)] + 1e-8
+
+
+class TestSwitchingReduction:
+    @pytest.mark.parametrize("n, d, restarts", list(UNREDUCED_VALUES))
+    def test_agrees_with_unreduced_search(self, n, d, restarts):
+        # the ascent stops at _VALUE_TOL = 1e-11, so the two searches may
+        # end a few ulps apart; (3, 5) differs by 1.1e-14
+        value = exhaustive_cached(n, d, restarts).value
+        assert abs(value - UNREDUCED_VALUES[n, d, restarts]) <= 1e-12
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_every_sign_matrix_reaches_a_start(self, d):
+        # switching by E = diag(S[0]) makes row and column 0 all +1, and a
+        # permutation fixing vertex 0 takes the lower block to its orbit
+        # minimum, which must be a lower block the search starts from
+        starts = set(_canonical_reps(d - 1))
+        minima = orbit_minima(d - 1)
+        for s in _decode(range(1 << d * (d - 1) // 2), d):
+            switched = s * s[0][:, None] * s[0][None, :]
+            assert np.all(switched[0] == 1) and np.all(switched[:, 0] == 1)
+            assert minima[encode(switched[1:, 1:])] in starts
+
+    def test_switching_leaves_objective_invariant(self):
+        # sqrt(D) ESE sqrt(D) = E (sqrt(D) S sqrt(D)) E is similar to the
+        # unswitched matrix, so the value is the same and P becomes EPE
+        rng = np.random.default_rng(18)
+        for _ in range(30):
+            d = int(rng.integers(2, 9))
+            n = int(rng.integers(1, d + 1))
+            upper = np.triu(2.0 * rng.integers(0, 2, size=(d, d)) - 1.0, 1)
+            s = upper + upper.T + np.eye(d)
+            e = 2.0 * rng.integers(0, 2, size=d) - 1.0
+            sq = np.sqrt(rng.dirichlet(np.ones(d)))
+            value, p = kyfan_sum(s * sq[:, None] * sq[None, :], n)
+            switched = e[:, None] * s * e[None, :]
+            value_e, p_e = kyfan_sum(switched * sq[:, None] * sq[None, :], n)
+            assert abs(value_e - value) <= 1e-12
+            assert np.abs(p_e.entries
+                          - e[:, None] * p.entries * e[None, :]).max() \
+                <= 1e-12
+
+    @pytest.mark.parametrize("n", sorted(PI_8))
+    def test_pi_n_8(self, n):
+        assert abs(exhaustive_pi(n, 8).value - PI_8[n]) <= 1e-9
 
 
 class TestClosedForms:
