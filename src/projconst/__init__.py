@@ -9,8 +9,7 @@ Perron radii, trace duality, and exact linear programming.
 
 from .almostmin import (Certificate, PipelineResult, almost_minimal, certify,
                         eta_of_eps)
-from .blowup import (BlockProjection, BlowupSpec, blow_up, lift_eigenvectors,
-                     weighted_equivalent)
+from .blowup import BlockProjection, BlowupSpec, blow_up, weighted_equivalent
 from .eigsum import (CuccSelection, EqualityCase, GapBound, cucc_selection,
                      equality_case, kyfan_sum, pi_n_general,
                      spectral_gap_bound)
@@ -43,9 +42,8 @@ __all__ = [
     "alternating_pi", "attainment_check", "blow_up", "certify", "choose_k",
     "cucc_selection", "dirichlet_approx", "eig_sym", "equality_case",
     "eta_of_eps", "etf_bound", "exhaustive_pi", "get_seed",
-    "gruenbaum_floor", "kyfan_sum", "lift_eigenvectors", "matrix_from_json",
-    "matrix_to_json", "min_projection_norm", "nu1", "operator_norm",
-    "perron", "pi_n_general", "row_sum_stats", "sign_matrix_of",
-    "spectral_gap_bound", "trace_certificate", "validate_projection",
-    "weighted_equivalent",
+    "gruenbaum_floor", "kyfan_sum", "matrix_from_json", "matrix_to_json",
+    "min_projection_norm", "nu1", "operator_norm", "perron", "pi_n_general",
+    "row_sum_stats", "sign_matrix_of", "spectral_gap_bound",
+    "trace_certificate", "validate_projection", "weighted_equivalent",
 ]

@@ -4,15 +4,15 @@ posteriori certificates.
 Starting from a candidate maximizer P0 with strictly positive |P0|, the
 pipeline rationalizes the Perron weights of |P0| (Dirichlet approximation
 at quality eta = min(1, (eps/32)^2) / sqrt(n)), blows up the sign pattern
-of P0 with the resulting multiplicities, takes the Ky Fan maximizer of
-the blown-up sign matrix at rank n (via block-constant eigenvector
-lifting), and polishes it with the sign fixed-point iteration until the
-sign pattern stabilizes.  The certificate is read off P alone: the
-Perron value rho(|P|), the extreme absolute row sums r and R, the l1
+of P0 with the resulting multiplicities, takes the Ky Fan maximizer of the
+blown-up sign matrix at rank n (the blow-up of the maximizer of the small
+weighted problem), and polishes it with the sign fixed-point iteration
+until the sign pattern stabilizes.  The certificate is read off P alone:
+the Perron value rho(|P|), the extreme absolute row sums r and R, the l1
 operator norm, and the trace-duality lower bound Tr(AP) for a witness A
-with AP = PAP; gap_rows = R - r measures how far |P| is from a multiple
-of a doubly stochastic matrix and gap_minimality bounds the distance of
-||P|| from the minimal projection norm onto range(P).
+with AP = PAP; gap_rows = R - r measures how far |P| is from a multiple of
+a doubly stochastic matrix and gap_minimality bounds the distance of ||P||
+from the minimal projection norm onto range(P).
 
 Everything after the Dirichlet step runs on the block form of P (a
 :class:`~projconst.blowup.BlockProjection`): the multiplicities p and the
@@ -31,7 +31,8 @@ identities are
 
 All cost O(m^3) whatever d is.  Dense d x d matrices are built only on
 request (``PipelineResult.P`` and ``.S``) and in the one case where the
-Ky Fan maximizer is not block-constant, both behind the d <= 4096 guard.
+Ky Fan maximizer is not block-constant, all behind the d <= 4096 cap of
+``blowup``.
 """
 
 from __future__ import annotations
@@ -43,15 +44,12 @@ from functools import cached_property
 import numpy as np
 
 from .blowup import BlockProjection, BlowupSpec, blow_up, weighted_equivalent
-from .errors import (PreconditionError, ResourceExhausted,
-                     WitnessConstraintError)
-from .eigsum import kyfan_sum
-from .matcore import (OrthoProjection, SignMatrix, eig_sym, matrix_to_json,
-                      perron, sign_matrix_of, validate_projection)
+from .errors import PreconditionError, WitnessConstraintError
+from .matcore import (OrthoProjection, SignMatrix, _kyfan, _perron_weights,
+                      matrix_to_json, perron, sign_matrix_of)
 from .rationalize import choose_k, dirichlet_approx
 from .relproj import trace_certificate
 
-_DENSE_SIZE_LIMIT = 4096
 _MAX_REFINE = 64
 
 
@@ -119,12 +117,10 @@ class PipelineResult:
 
     @cached_property
     def P(self) -> OrthoProjection:
-        _check_dense(self.d)
         return self.blocks.dense()
 
     @cached_property
     def S(self) -> SignMatrix:
-        _check_dense(self.d)
         return blow_up(self.spec)
 
     def to_json(self, include_matrices: bool = False) -> dict:
@@ -183,14 +179,6 @@ def certify(p: OrthoProjection | BlockProjection) -> Certificate:
     return Certificate(rho, r, big_r, op, lower, big_r - r, gap_min, kind)
 
 
-def _check_dense(d: int) -> None:
-    """The one guard on dense d x d matrices in the pipeline."""
-    if d > _DENSE_SIZE_LIMIT:
-        raise ResourceExhausted(
-            f"a dense {d} x {d} matrix exceeds the cap {_DENSE_SIZE_LIMIT}; "
-            f"the block form has no cap")
-
-
 def _kyfan_blocks(spec: BlowupSpec,
                   n: int) -> tuple[BlowupSpec, BlockProjection]:
     """Rank-n Ky Fan maximizer of blow_up(spec) as the blow-up of the
@@ -198,19 +186,14 @@ def _kyfan_blocks(spec: BlowupSpec,
 
     When those n eigenvalues are not all positive the blow-up kernel
     enters the maximizer, which is then not block-constant: the dense
-    maximizer is taken instead, behind the dense guard, and both the sign
-    matrix and the projection are returned as their own blow-ups with all
-    multiplicities 1."""
-    small = eig_sym(weighted_equivalent(spec).entries)
-    if small.eigenvalues[n - 1] > 0:
-        u = small.eigenvectors[:, :n]
-        return spec, BlockProjection(validate_projection(u @ u.T, n),
-                                     spec.multiplicities)
-    _check_dense(spec.d)
-    s = blow_up(spec)
-    _, p = kyfan_sum(s.entries, n)
-    ones = (1,) * spec.d
-    return BlowupSpec(s, ones), BlockProjection(p, ones)
+    maximizer is taken instead, behind the dense cap of blow_up, and both
+    the sign matrix and the projection are returned as their own blow-ups
+    with all multiplicities 1."""
+    w, core = _kyfan(weighted_equivalent(spec).entries, n)
+    if w[n - 1] <= 0:
+        spec = BlowupSpec(blow_up(spec), (1,) * spec.d)
+        _, core = _kyfan(spec.base.entries, n)
+    return spec, BlockProjection(OrthoProjection(core, n), spec.multiplicities)
 
 
 def almost_minimal(n: int, eps: float, seed: OrthoProjection) -> PipelineResult:
@@ -240,13 +223,11 @@ def almost_minimal(n: int, eps: float, seed: OrthoProjection) -> PipelineResult:
         raise PreconditionError(
             f"seed has rank {seed.n}, expected n={n}")
     m = seed.d
-    _, v = perron(seed.abs_entries())
-    weights = v * v
-    weights = weights / weights.sum()
+    weights = _perron_weights(seed.abs_entries()[None])[0]
     signs = sign_matrix_of(seed)
     sq = np.sqrt(weights)
-    top = np.linalg.eigh(signs.entries * np.outer(sq, sq))[1][:, -n:]
-    seed_gap = float(np.abs(top @ top.T - seed.entries).max())
+    _, q = _kyfan(signs.entries * np.outer(sq, sq), n)
+    seed_gap = float(np.abs(q - seed.entries).max())
     eps0 = float(weights.min())
     k = choose_k(n, m, eta, eps0)
     rational = dirichlet_approx(weights, k)

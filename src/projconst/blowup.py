@@ -5,11 +5,8 @@ Replacing vertex i of the graph encoded by a sign matrix S (edge iff entry
 S' = Z S Z^t, where Z is the block indicator.  The nonzero eigenvalues of
 S' equal those of sqrt(P) S sqrt(P) with P = diag(p_i); consequently
 pi_n(S') = d * pi_n(sqrt(L) S sqrt(L)) for L = diag(p_i / d), d = sum p_i.
-Eigenvectors of the small weighted matrix lift to block-constant
-eigenvectors of S', which lets callers form Ky Fan maximizers of huge
-blow-ups without dense d x d eigensolves.
-
-Such a maximizer is the blow-up of an m x m projection.  With
+When the top n eigenvalues of the small weighted matrix are positive,
+the Ky Fan maximizer of S' is the blow-up of an m x m projection.  With
 J = Z D^(-1/2), D = diag(p) and U the top-n eigenvectors of the weighted
 matrix, P = J Pi J^t for the rank-n projection Pi = U U^t, so block
 (i, j) of P is constantly beta_ij = Pi_ij / sqrt(p_i p_j); J^t J = I, so
@@ -28,7 +25,8 @@ certificate needs is read off (beta, p) in O(m^3):
   (alpha D beta)_ii.
 
 A dense projection is the case p = (1, ..., 1), whose block values are
-its entries bit for bit.
+its entries bit for bit.  Only ``blow_up`` and ``BlockProjection.dense``
+build a d x d matrix, and both refuse d above 4096 before allocating.
 """
 
 from __future__ import annotations
@@ -37,9 +35,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import PreconditionError, ResourceExhausted
 from .matcore import (SIGN_ZERO_TOL, OrthoProjection, SignMatrix, SymMatrix,
                       _freeze, sign_matrix_of)
+
+_DENSE_SIZE_LIMIT = 4096
+
+
+def _check_dense(d: int) -> None:
+    """The one guard on dense d x d matrices."""
+    if d > _DENSE_SIZE_LIMIT:
+        raise ResourceExhausted(
+            f"a dense {d} x {d} matrix exceeds the cap {_DENSE_SIZE_LIMIT}; "
+            f"the block form has no cap")
 
 
 def _multiplicities(p, m: int) -> tuple[int, ...]:
@@ -78,6 +86,7 @@ def blow_up(spec: BlowupSpec) -> SignMatrix:
     Block (i, j) is constantly s_ij for i != j; diagonal blocks are
     constantly +1 because copies of a vertex are non-adjacent.
     """
+    _check_dense(spec.d)
     p = np.asarray(spec.multiplicities)
     s = spec.base.entries
     big = np.repeat(np.repeat(s, p, axis=0), p, axis=1)
@@ -91,26 +100,6 @@ def weighted_equivalent(spec: BlowupSpec) -> SymMatrix:
     p = np.asarray(spec.multiplicities, dtype=float)
     sq = np.sqrt(p / p.sum())
     return SymMatrix(spec.base.entries * sq[:, None] * sq[None, :])
-
-
-def lift_eigenvectors(spec: BlowupSpec, vectors: np.ndarray) -> np.ndarray:
-    """Lift eigenvectors of sqrt(P) S sqrt(P) (equivalently of
-    weighted_equivalent, which has the same eigenvectors) to block-constant
-    eigenvectors of the blow-up.
-
-    An orthonormal input stays orthonormal; an eigenvector with eigenvalue
-    mu of sqrt(P) S sqrt(P) lifts to eigenvalue mu of the blow-up (which is
-    d * the corresponding eigenvalue of weighted_equivalent).
-    """
-    u = np.asarray(vectors, dtype=float)
-    if u.ndim == 1:
-        u = u[:, None]
-    if u.shape[0] != spec.m:
-        raise PreconditionError(
-            f"vectors have {u.shape[0]} rows, base has {spec.m} vertices")
-    p = np.asarray(spec.multiplicities)
-    scaled = u / np.sqrt(p.astype(float))[:, None]
-    return np.repeat(scaled, p, axis=0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,16 +162,17 @@ class BlockProjection:
         :meth:`OrthoProjection.abs_is_positive`."""
         return bool(np.all(np.abs(self.values) > SIGN_ZERO_TOL))
 
-    def signs(self, tau: float = SIGN_ZERO_TOL) -> BlowupSpec:
+    def signs(self) -> BlowupSpec:
         """Sgn(P) as the blow-up of Sgn(values) with the same
         multiplicities: off-diagonal blocks carry the sign of their value
         and diagonal blocks are +1, because beta_ii = Pi_ii / p_i >= 0."""
-        return BlowupSpec(sign_matrix_of(self.values, tau),
+        return BlowupSpec(sign_matrix_of(self.values, SIGN_ZERO_TOL),
                           self.multiplicities)
 
     def dense(self) -> OrthoProjection:
         """The d x d projection P, validated; O(d^2) memory and O(d^3)
         time."""
+        _check_dense(self.d)
         p = np.asarray(self.multiplicities)
         big = np.repeat(np.repeat(self.values, p, axis=0), p, axis=1)
         return OrthoProjection(big, self.n)

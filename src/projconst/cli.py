@@ -227,7 +227,8 @@ def build_parser() -> _Parser:
     p = subs.add_parser("blowup", help="blow up a sign matrix")
     p.add_argument("--base", required=True, help="sign matrix JSON file")
     p.add_argument("--multiplicities", required=True,
-                   help="comma-separated positive integers")
+                   help="comma-separated positive integers "
+                        "(d <= 4096; exit 3 above)")
     p.add_argument("--tol", type=float, default=1e-9,
                    help="sign zero threshold: base entries within "
                         "[-tol, tol] count as zeros and become +1 "

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, PreconditionError
-from .matcore import (OrthoProjection, _entries_of, eig_sym,
-                      validate_projection)
+from .matcore import (OrthoProjection, _as_square_array, _entries_of, _kyfan,
+                      eig_sym)
 
 # Classification tolerances for general spectra: eigenvalues with |Im| at
 # most _REAL_AXIS_TOL count as real; conjugate partners must match within
@@ -50,15 +50,12 @@ class CuccSelection:
 def kyfan_sum(a, n: int) -> tuple[float, OrthoProjection]:
     """Sum of the n largest eigenvalues of a symmetric matrix together
     with the maximizing projection onto the top-n eigenvectors."""
-    m = _entries_of(a)
+    m = _as_square_array(_entries_of(a), "kyfan_sum input")
     d = m.shape[0]
     if not (1 <= n <= d):
         raise PreconditionError(f"n={n} out of range 1..{d}")
-    spec = eig_sym(m)
-    value = float(np.sum(spec.eigenvalues[:n]))
-    v = spec.eigenvectors[:, :n]
-    p = validate_projection(v @ v.T, n)
-    return value, p
+    w, p = _kyfan(m, n)
+    return float(np.sum(w[:n])), OrthoProjection(p, n)
 
 
 def _conjugate_items(evals: np.ndarray) -> list[tuple[int, float, tuple[int, ...]]]:

@@ -6,6 +6,8 @@ together with the spectral primitives: a deterministic symmetric
 eigensolver wrapper, Perron pairs of positive matrices, sign matrices of
 thresholded signs, projection validation, and absolute row-sum statistics.
 Every spectral primitive takes the same dense LAPACK path at every d.
+The search and the almost-minimal pipeline share two stack steps, the
+rank-n Ky Fan maximizer and the Perron weights, implemented once here.
 
 All values are immutable after construction and safe to share across
 threads; every operation is a pure function of its inputs.
@@ -47,13 +49,13 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Spectral steps on stacks: each takes a (..., d, d) stack, so the
-# functions below apply them to one matrix and the batched search ascent
-# to all of its lanes at once.  Stacked matmul and LAPACK loops give every
-# matrix the same bits it gets on its own.  The invariant checks live in
-# the constructors of the matrix classes, which see each value once, as
-# it is returned; inside the ascent only the Perron steps check their
-# output, so that a failed eigensolve raises NumericalError.
+# Spectral steps on stacks: each takes a (..., d, d) stack, so kyfan_sum,
+# perron and the pipeline apply them to one matrix and the batched search
+# ascent to all of its lanes at once.  Stacked matmul and LAPACK loops
+# give every matrix the same bits it gets on its own.  The invariant
+# checks live in the constructors of the matrix classes, which see each
+# value once, as it is returned; inside the ascent only the Perron steps
+# check their output, so that a failed eigensolve raises NumericalError.
 
 def _eigh_descending(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of the symmetrized stack ``m``, eigenvalues descending,
@@ -101,6 +103,24 @@ def _perron_pairs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``a`` from its full spectra, at every d."""
     w, vs = _eigh_descending(a)
     return w[:, 0], _perron_vectors(a, w[:, 0], vs[..., 0])
+
+
+def _kyfan(m: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Descending eigenvalues of the symmetrized stack ``m`` and the
+    exactly symmetric projector onto its top-n eigenvectors, the rank-n
+    Ky Fan maximizer."""
+    w, v = _eigh_descending(m)
+    top = v[..., :n]
+    p = top @ top.swapaxes(-1, -2)
+    return w, 0.5 * (p + p.swapaxes(-1, -2))
+
+
+def _perron_weights(a: np.ndarray) -> np.ndarray:
+    """Squared Perron vectors of the strictly positive, symmetric
+    (B, d, d) stack ``a``, normalized to sum 1."""
+    _, v = _perron_pairs(a)
+    v = v * v
+    return v / v.sum(axis=-1, keepdims=True)
 
 
 def _signs(m: np.ndarray, tau: float) -> np.ndarray:
@@ -159,6 +179,8 @@ class WeightVector:
         w = np.asarray(self.w, dtype=float)
         if w.ndim != 1 or w.size == 0:
             raise PreconditionError("weights must be a nonempty vector")
+        if not np.all(np.isfinite(w)):
+            raise PreconditionError("weights contain non-finite entries")
         if np.any(w < 0):
             raise InvariantViolation("weight nonnegativity", float(-w.min()))
         s = float(w.sum())

@@ -49,8 +49,8 @@ def choose_k(n: int, m: int, eps: float, eps0: float) -> int:
     """
     if n < 1 or m < 1:
         raise PreconditionError("n and m must be positive")
-    if eps <= 0 or eps0 <= 0:
-        raise PreconditionError("eps and eps0 must be positive")
+    if not all(math.isfinite(x) and x > 0 for x in (eps, eps0)):
+        raise PreconditionError("eps and eps0 must be finite and positive")
     bound = 4.0 * (m - 1) * math.sqrt(n) / (eps * eps0)
     return max(1, int(math.floor(bound)) + 1)
 

@@ -22,13 +22,13 @@ decreases; fixed points are reported as converged.
 
 One batched kernel, ``_ascend``, runs the ascent for all B starts of a
 search at once: the signs are a (B, d, d) stack and the weights a (B, d)
-stack, plain arrays.  An iteration makes one batched ``eigh`` for the Ky
-Fan step, one batched Perron solve on the lanes whose |P| is strictly
-positive, and vectorized sign and weight updates; lanes that converge
-leave the batch.  The stacked steps live in ``matcore`` beside the
-one-matrix functions that use them, and every lane gets the same bits as
-its start run alone, so results do not depend on the batch.
-``alternate_maximize`` is the kernel at B = 1.
+stack, plain arrays.  An iteration makes one batched Ky Fan step, one
+batched Perron-weight step on the lanes whose |P| is strictly positive,
+and a vectorized sign update; lanes that converge leave the batch.  Both
+steps are matcore's ``_kyfan`` and ``_perron_weights``, which kyfan_sum
+and the almost-minimal pipeline apply to one matrix, and every lane gets
+the same bits as its start run alone, so results do not depend on the
+batch.  ``alternate_maximize`` is the kernel at B = 1.
 
 Validation happens once, at the boundary: the kernel checks its inputs,
 and the lane it returns becomes a ``SearchResult`` through the
@@ -48,7 +48,7 @@ import numpy as np
 
 from .errors import GuardRefusal, PreconditionError
 from .matcore import (SIGN_ZERO_TOL, OrthoProjection, SignMatrix, WeightVector,
-                      _eigh_descending, _perron_pairs, _signs, matrix_to_json)
+                      _kyfan, _perron_weights, _signs, matrix_to_json)
 
 EXHAUSTIVE_MAX_D = 8
 _RESTART_SEED = 20240913
@@ -107,7 +107,7 @@ def etf_bound(n: int, d: int) -> float:
 
 
 def alternate_maximize(n: int, s0: SignMatrix, d0: WeightVector,
-                       max_iter: int = 200) -> SearchResult:
+                       max_iter: int = _ALTERNATING_MAX_ITER) -> SearchResult:
     """Alternating ascent from (s0, d0); see the module docstring for the
     update steps.  Non-convergence within max_iter is reported via
     converged=False, never raised."""
@@ -146,9 +146,9 @@ def _ascend(n: int, s: np.ndarray, w: np.ndarray, max_iter: int) -> _Lanes:
 
     Each iteration takes one batched step for the lanes still running
     and drops those that reached a fixed point or stopped improving.
-    The steps are the per-matrix ones of kyfan_sum, sign_matrix_of and
-    perron on stacks, so every lane gets the bits it gets alone.  The
-    inputs are checked here and each lane again as it becomes a
+    The steps are the stack steps of kyfan_sum, sign_matrix_of and the
+    pipeline's Perron weights, so every lane gets the bits it gets alone.
+    The inputs are checked here and each lane again as it becomes a
     SearchResult, not on every iteration.
     """
     b, d = s.shape[0], s.shape[-1]
@@ -168,20 +168,15 @@ def _ascend(n: int, s: np.ndarray, w: np.ndarray, max_iter: int) -> _Lanes:
     prev = np.full(b, -np.inf)
     for it in range(max_iter):
         sq = np.sqrt(w)
-        evals, evecs = _eigh_descending(s * sq[:, :, None] * sq[:, None, :])
+        evals, p = _kyfan(s * sq[:, :, None] * sq[:, None, :], n)
         value = evals[:, :n].sum(axis=1)
-        top = evecs[:, :, :n]
-        p = top @ top.swapaxes(1, 2)
-        p = 0.5 * (p + p.swapaxes(1, 2))  # exactly symmetric, as stored
         out.history[lanes, it] = value
 
         s_next = _signs(p, SIGN_ZERO_TOL)
         w_next = w.copy()
         positive = np.all(np.abs(p) > SIGN_ZERO_TOL, axis=(1, 2))
         if positive.any():
-            _, v = _perron_pairs(np.abs(p[positive]))
-            v = v * v
-            w_next[positive] = v / v.sum(axis=1, keepdims=True)
+            w_next[positive] = _perron_weights(np.abs(p[positive]))
 
         fixed = (np.all(s_next == s, axis=(1, 2))
                  & (np.abs(w_next - w).max(axis=1)

@@ -28,6 +28,7 @@ import functools
 
 import numpy as np
 
+from .eigsum import kyfan_sum
 from .errors import PreconditionError
 from .matcore import OrthoProjection, validate_projection
 
@@ -63,8 +64,7 @@ def perturbed_hex3(rng: np.random.Generator) -> OrthoProjection:
     pattern S = 2I - J and weights D drawn from Dirichlet(1, 1, 1)."""
     s = 2.0 * np.eye(3) - 1.0
     sq = np.sqrt(rng.dirichlet(np.ones(3)))
-    v = np.linalg.eigh(s * sq[:, None] * sq[None, :])[1][:, -2:]
-    return validate_projection(v @ v.T, 2)
+    return kyfan_sum(s * sq[:, None] * sq[None, :], 2)[1]
 
 
 def paley_projection(q: int) -> OrthoProjection:

@@ -8,7 +8,7 @@ from projconst import (BlockProjection, BlowupSpec, PreconditionError,
                        ResourceExhausted, SignMatrix, almost_minimal,
                        blow_up, certify, choose_k, dirichlet_approx, eig_sym,
                        eta_of_eps, kyfan_sum, perron, sign_matrix_of,
-                       validate_projection)
+                       validate_projection, weighted_equivalent)
 from projconst.almostmin import _kyfan_blocks
 from projconst.seeds import get_seed, paley, perturbed_hex3
 
@@ -302,6 +302,27 @@ class TestBlockForm:
         assert np.array_equal(out_spec.base.entries, np.ones((5, 5)))
         _, dense = kyfan_sum(np.ones((5, 5)), 2)
         assert np.array_equal(p.values, dense.entries)
+
+    def test_core_is_kyfan_sum_of_the_weighted_problem(self):
+        rng = np.random.default_rng(72)
+        icosa = BlowupSpec(sign_matrix_of(get_seed("icosa6")),
+                           (1, 2, 3, 1, 2, 3))
+        cases = [(icosa, 3)]
+        for _ in range(30):
+            m = int(rng.integers(2, 7))
+            upper = np.triu(2.0 * rng.integers(0, 2, size=(m, m)) - 1.0, 1)
+            mult = tuple(int(x) for x in rng.integers(1, 5, m))
+            cases.append((BlowupSpec(SignMatrix(upper + upper.T + np.eye(m)),
+                                     mult), int(rng.integers(1, m + 1))))
+        block_form = 0
+        for spec, n in cases:
+            out_spec, p = _kyfan_blocks(spec, n)
+            if out_spec is not spec:
+                continue  # dense fallback
+            _, core = kyfan_sum(weighted_equivalent(spec), n)
+            assert np.array_equal(p.core.entries, core.entries)
+            block_form += 1
+        assert block_form >= 20
 
     def test_dense_fallback_is_guarded(self):
         spec = BlowupSpec(SignMatrix(np.ones((2, 2))), (2049, 2048))

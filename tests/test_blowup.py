@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from projconst import (BlowupSpec, PreconditionError, SignMatrix, blow_up,
-                       kyfan_sum, lift_eigenvectors, pi_n_general,
-                       weighted_equivalent)
-from projconst.matcore import eig_sym
+from projconst import (BlockProjection, BlowupSpec, OrthoProjection,
+                       PreconditionError, ResourceExhausted, SignMatrix,
+                       blow_up, pi_n_general, weighted_equivalent)
 from projconst.seeds import C_ICOSA
 
 HEX_S = 2 * np.eye(3) - np.ones((3, 3))
@@ -104,28 +103,17 @@ class TestWeightedEquivalent:
                     assert lhs >= rhs - 1e-8
 
 
-class TestEigenvectorLifting:
-    def test_lift_matches_dense(self):
-        rng = np.random.default_rng(24)
-        for _ in range(15):
-            m = int(rng.integers(2, 5))
-            mult = tuple(int(x) for x in rng.integers(1, 4, m))
-            spec = BlowupSpec(random_sign_matrix(rng, m), mult)
-            big = blow_up(spec)
-            p_sqrt = np.diag(np.sqrt(np.asarray(mult, dtype=float)))
-            small = eig_sym(p_sqrt @ spec.base.entries @ p_sqrt)
-            lifted = lift_eigenvectors(spec, small.eigenvectors)
-            # orthonormal, block-constant eigenvectors of the blow-up
-            assert np.abs(lifted.T @ lifted - np.eye(m)).max() <= 1e-9
-            resid = big.entries @ lifted - lifted * small.eigenvalues
-            assert np.abs(resid).max() <= 1e-8
+class TestDenseCap:
+    # 10^12 copies would not fit in memory: the cap is checked first
+    @pytest.mark.parametrize("mult", [(2049, 2048), (10**12, 1)])
+    def test_blow_up_refuses_before_allocating(self, mult):
+        spec = BlowupSpec(SignMatrix(np.ones((2, 2))), mult)
+        with pytest.raises(ResourceExhausted, match="4096"):
+            blow_up(spec)
 
-    def test_lift_builds_kyfan_maximizer(self):
-        spec = BlowupSpec(SignMatrix(HEX_S), (2, 1, 2))
-        big = blow_up(spec)
-        p_sqrt = np.diag(np.sqrt(np.asarray(spec.multiplicities, dtype=float)))
-        small = eig_sym(p_sqrt @ spec.base.entries @ p_sqrt)
-        lifted = lift_eigenvectors(spec, small.eigenvectors[:, :2])
-        value, p_dense = kyfan_sum(big.entries, 2)
-        assert abs(np.trace(big.entries @ (lifted @ lifted.T)) - value) <= 1e-9
-        assert np.abs(lifted @ lifted.T - p_dense.entries).max() <= 1e-8
+    @pytest.mark.parametrize("mult", [(2049, 2048), (10**12, 1)])
+    def test_dense_projection_refuses_before_allocating(self, mult):
+        blocks = BlockProjection(OrthoProjection(np.full((2, 2), 0.5), 1),
+                                 mult)
+        with pytest.raises(ResourceExhausted, match="4096"):
+            blocks.dense()

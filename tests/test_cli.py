@@ -365,6 +365,18 @@ def test_blowup_rejects_bad_tol(tmp_path, capsys, tol):
     assert "tau must be finite and >= 0" in err
 
 
+@pytest.mark.parametrize("mult", ["2049,2048", "1000000000000,1"])
+def test_blowup_beyond_dense_cap(tmp_path, capsys, mult):
+    # refused before the d x d matrix is allocated, at any d above 4096
+    mat_file = tmp_path / "ones.json"
+    mat_file.write_text(json.dumps(matrix_to_json(np.ones((2, 2)))))
+    code, out, err = run_cli(capsys, "blowup", "--base", str(mat_file),
+                             "--multiplicities", mult)
+    assert code == 3
+    assert out == ""
+    assert "resource error" in err and "4096" in err
+
+
 def test_dirichlet_command(capsys):
     code, out, _ = run_cli(capsys, "dirichlet", "--weights",
                            "0.5,0.5", "--k", "100")

@@ -41,6 +41,12 @@ class TestTypes:
         with pytest.raises(InvariantViolation):
             WeightVector([1.5, -0.5])
 
+    @pytest.mark.parametrize("w", [[np.nan, 1.0], [np.inf, 0.0],
+                                   [0.5, 0.5, -np.inf]])
+    def test_weight_vector_rejects_non_finite(self, w):
+        with pytest.raises(PreconditionError, match="non-finite"):
+            WeightVector(w)
+
     def test_values_are_immutable(self):
         m = SymMatrix(np.eye(2))
         with pytest.raises(ValueError):

@@ -20,6 +20,12 @@ class TestChooseK:
         with pytest.raises(PreconditionError):
             choose_k(0, 1, 1.0, 1.0)
 
+    @pytest.mark.parametrize("eps, eps0", [(np.nan, 0.5), (1.0, np.nan),
+                                           (np.inf, 0.5), (1.0, np.inf)])
+    def test_rejects_non_finite(self, eps, eps0):
+        with pytest.raises(PreconditionError, match="finite and positive"):
+            choose_k(1, 2, eps, eps0)
+
 
 def assert_matches_plain_scan(w, k, q_cap):
     """The scan grows its chunks; the first hit and the first global

@@ -472,3 +472,15 @@ class TestAscentKernel:
             assert np.array_equal(lanes.w[i], alone.D.w)
             assert np.array_equal(lanes.p[i], alone.P.entries)
         assert lanes.result(0).runs == len(starts)
+
+
+@pytest.mark.parametrize("search, n, d", [
+    (exhaustive_pi, 2, 3), (exhaustive_pi, 2, 5), (exhaustive_pi, 3, 6),
+    (alternating_pi, 2, 6), (alternating_pi, 3, 7)])
+def test_result_is_kyfan_sum_of_its_weighted_sign_matrix(search, n, d):
+    # the ascent takes the Ky Fan step of kyfan_sum, bit for bit
+    res = search(n, d)
+    sq = np.sqrt(res.D.w)
+    value, p = kyfan_sum(res.S.entries * sq[:, None] * sq[None, :], n)
+    assert value == res.value
+    assert np.array_equal(p.entries, res.P.entries)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from projconst import PreconditionError, etf_bound
+from projconst import PreconditionError, etf_bound, kyfan_sum
 from projconst.seeds import C_ICOSA, SEEDS, get_seed, paley, perturbed_hex3
 
 PHI = (1 + np.sqrt(5)) / 2
@@ -67,3 +67,11 @@ def test_perturbed_hex3_keeps_the_hexagonal_pattern():
         p = perturbed_hex3(rng)
         assert p.n == 2 and p.abs_is_positive()
         assert np.array_equal(np.sign(p.entries), 2 * np.eye(3) - 1)
+
+
+def test_perturbed_hex3_is_kyfan_sum_of_its_weighted_pattern():
+    for k in range(5):
+        sq = np.sqrt(np.random.default_rng(k).dirichlet(np.ones(3)))
+        _, q = kyfan_sum((2 * np.eye(3) - 1) * sq[:, None] * sq[None, :], 2)
+        p = perturbed_hex3(np.random.default_rng(k))
+        assert np.array_equal(p.entries, q.entries)
