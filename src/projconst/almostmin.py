@@ -16,20 +16,10 @@ from the minimal projection norm onto range(P).
 
 Everything after the Dirichlet step runs on the block form of P (a
 :class:`~projconst.blowup.BlockProjection`): the multiplicities p and the
-m x m rank-n projection Pi = U U^t of the weighted problem, with block
-values beta_ij = Pi_ij / sqrt(p_i p_j) and D = diag(p).  The certificate
-identities are
-
-- row sums of |P| in block i: sum_j p_j |beta_ij|;
-- rho(|P|) = rho(|Pi|), Perron vector of |P| in block i: v_i / sqrt(p_i);
-- Sgn(P) = blow-up of Sgn(beta) with the same p, so the sign refinement
-  never leaves the block form;
-- for the block-constant witness with values alpha: nu1 =
-  sum_i p_i max_j |alpha_ij|, AP = PAP iff
-  alpha D beta = beta D alpha D beta, and Tr(AP) = sum_i p_i
-  (alpha D beta)_ii.
-
-All cost O(m^3) whatever d is.  Dense d x d matrices are built only on
+m x m rank-n projection Pi = U U^t of the weighted problem.  The
+certificate and the sign refinement are read off Pi and p by the
+identities in the ``blowup`` module docstring, in O(m^3) and with O(1)
+thresholds whatever d is.  Dense d x d matrices are built only on
 request (``PipelineResult.P`` and ``.S``) and in the one case where the
 Ky Fan maximizer is not block-constant, all behind the d <= 4096 cap of
 ``blowup``.
@@ -140,26 +130,30 @@ def certify(p: OrthoProjection | BlockProjection) -> Certificate:
     bound for the minimal projection norm onto range(P).
 
     A dense P is the blow-up of itself with all multiplicities 1, so
-    every step runs on block values (see the ``blowup`` module docstring)
-    and costs O(m^3) for a :class:`BlockProjection` of an m x m core.
-    The duality witness is A = D Sgn(P) with D the squared Perron weights
-    of |P|; when it fails AP = PAP against P itself, the uniform witness
-    Sgn(P)/d is tried instead.  An invalid witness leaves lower_bound
-    absent rather than reporting an uncertified number.
+    every step runs on the core Pi and W = diag(sqrt(p)) (see the
+    ``blowup`` module docstring) and costs O(m^3) for a
+    :class:`BlockProjection` of an m x m core.  The duality witness is
+    A = D Sgn(P) with D the squared Perron weights of |P|; when it fails
+    AP = PAP against P itself (the 1e-8 tolerance of ``trace_certificate``
+    applies to A~ Pi - Pi A~ Pi, A~ = W alpha W for block values alpha),
+    the uniform witness Sgn(P)/d is tried instead.  An invalid witness
+    leaves lower_bound absent rather than reporting an uncertified
+    number.
     """
     blocks = BlockProjection.of(p)
     sizes = blocks.sizes
-    a = np.abs(blocks.values)
+    w = np.sqrt(sizes)
+    a = blocks.core.abs_entries()
     # Row and column sums of |P| per block, reduced as the dense
-    # row_sum_stats and operator_norm reduce them.
-    rows = (a * sizes).sum(axis=1)
+    # row_sum_stats and operator_norm reduce them; sqrt(1) = 1 is exact.
+    rows = (a * w).sum(axis=1) / w
     r, big_r = float(rows.min()), float(rows.max())
-    op = float((sizes[:, None] * a).sum(axis=0).max())
+    op = float(((w[:, None] * a).sum(axis=0) / w).max())
     rho: float | None = None
     lower: float | None = None
     kind: str | None = None
-    if blocks.abs_is_positive():
-        rho, v = perron(np.abs(blocks.core.entries))
+    if blocks.core.abs_is_positive():
+        rho, v = perron(a)
         signs = blocks.signs().base.entries
         # Perron vector J v of |P|: block i holds v_i / sqrt(p_i).
         weights = v * v / sizes
@@ -232,8 +226,8 @@ def almost_minimal(n: int, eps: float, seed: OrthoProjection) -> PipelineResult:
     k = choose_k(n, m, eta, eps0)
     rational = dirichlet_approx(weights, k)
 
-    # Sgn of a block-constant P is the blow-up of Sgn of its block values
-    # with the same multiplicities, so the refinement stays in block form.
+    # Sgn of a block-constant P is the blow-up of Sgn of its core with the
+    # same multiplicities, so the refinement stays in block form.
     spec, p = _kyfan_blocks(BlowupSpec(signs, rational.p), n)
     converged = False
     iterations = 0

@@ -7,37 +7,39 @@ S' equal those of sqrt(P) S sqrt(P) with P = diag(p_i); consequently
 pi_n(S') = d * pi_n(sqrt(L) S sqrt(L)) for L = diag(p_i / d), d = sum p_i.
 When the top n eigenvalues of the small weighted matrix are positive,
 the Ky Fan maximizer of S' is the blow-up of an m x m projection.  With
-J = Z D^(-1/2), D = diag(p) and U the top-n eigenvectors of the weighted
-matrix, P = J Pi J^t for the rank-n projection Pi = U U^t, so block
-(i, j) of P is constantly beta_ij = Pi_ij / sqrt(p_i p_j); J^t J = I, so
-P is an orthogonal projection exactly when Pi is.  Everything a
-certificate needs is read off (beta, p) in O(m^3):
+J = Z W^(-1), W = diag(sqrt(p_i)) and U the top-n eigenvectors of the
+weighted matrix, P = J Pi J^t for the rank-n projection Pi = U U^t, so
+block (i, j) of P is constantly Pi_ij / sqrt(p_i p_j); J^t J = I, so P
+is an orthogonal projection exactly when Pi is.  Everything a
+certificate needs is read off Pi and W in O(m^3), in the frame of the
+core, where no entry shrinks as d grows, so absolute tolerances hold at
+any d:
 
 - the absolute row (and column) sums of P in block i are
-  sum_j p_j |beta_ij| = sum_j |Pi_ij| sqrt(p_j / p_i);
-- |P| = J |Pi| J^t, so rho(|P|) = rho(|Pi|) and the Perron vector of |P|
-  is J v for the Perron vector v of |Pi|;
-- Sgn(P) is block-constant with +1 diagonal blocks (beta_ii >= 0): the
-  blow-up of Sgn(beta) with the same p;
+  sum_j |Pi_ij| sqrt(p_j / p_i);
+- |P| = J |Pi| J^t, so rho(|P|) = rho(|Pi|), the Perron vector of |P|
+  is J v for the Perron vector v of |Pi|, and |P| is positive exactly
+  when |Pi| is;
+- Sgn(P) is the blow-up of Sgn(Pi) with the same p (the diagonal
+  blocks are +1 since Pi_ii >= 0);
 - a block-constant A with block values alpha has
-  nu1(A) = sum_i p_i max_j |alpha_ij| (l1), AP - PAP has the block values
-  alpha D beta - beta D alpha D beta, and Tr(AP) = sum_i p_i
-  (alpha D beta)_ii.
+  nu1(A) = sum_i p_i max_j |alpha_ij| (l1) and A = J A~ J^t with
+  A~ = W alpha W, so AP = PAP iff A~ Pi = Pi A~ Pi, and
+  Tr(AP) = Tr(A~ Pi).
 
-A dense projection is the case p = (1, ..., 1), whose block values are
-its entries bit for bit.  Only ``blow_up`` and ``BlockProjection.dense``
-build a d x d matrix, and both refuse d above 4096 before allocating.
+A dense projection is the case p = (1, ..., 1), W = I, whose core is
+itself.  Only ``blow_up`` and ``BlockProjection.dense`` build a d x d
+matrix, and both refuse d above 4096 before allocating.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import PreconditionError, ResourceExhausted
-from .matcore import (SIGN_ZERO_TOL, OrthoProjection, SignMatrix, SymMatrix,
-                      _freeze, sign_matrix_of)
+from .matcore import OrthoProjection, SignMatrix, SymMatrix, sign_matrix_of
 
 _DENSE_SIZE_LIMIT = 4096
 
@@ -106,28 +108,21 @@ def weighted_equivalent(spec: BlowupSpec) -> SymMatrix:
 class BlockProjection:
     """The blow-up P = J Pi J^t of a rank-n orthogonal projection Pi on
     R^m by the multiplicities p: a rank-n orthogonal projection on R^d,
-    d = sum p_i, whose block (i, j) is constantly
-    ``values[i, j]`` = Pi_ij / sqrt(p_i p_j).
+    d = sum p_i, whose block (i, j) is constantly Pi_ij / sqrt(p_i p_j).
 
-    ``core`` is Pi, validated by its own constructor; nothing of size d
-    is stored.  See the module docstring for what is read off the block
-    values.
+    ``core`` is Pi, validated by its own constructor, and is the only
+    representation: nothing of size d is stored, and the module docstring
+    lists what is read off Pi and p.
     """
 
     core: OrthoProjection
     multiplicities: tuple[int, ...]
-    values: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.core, OrthoProjection):
             raise PreconditionError("core must be an OrthoProjection")
-        p = _multiplicities(self.multiplicities, self.core.d)
-        object.__setattr__(self, "multiplicities", p)
-        # sqrt(1 * 1) = 1 and x / 1 = x: the all-ones values are the
-        # entries of the core bit for bit.
-        sizes = np.asarray(p, dtype=float)
-        object.__setattr__(self, "values", _freeze(
-            self.core.entries / np.sqrt(np.outer(sizes, sizes))))
+        object.__setattr__(self, "multiplicities", _multiplicities(
+            self.multiplicities, self.core.d))
 
     @classmethod
     def of(cls, p) -> "BlockProjection":
@@ -154,25 +149,20 @@ class BlockProjection:
 
     @property
     def sizes(self) -> np.ndarray:
-        """The multiplicities as floats, the diagonal of D."""
+        """The multiplicities as floats, the diagonal of D = W^2."""
         return np.asarray(self.multiplicities, dtype=float)
 
-    def abs_is_positive(self) -> bool:
-        """True when every entry of |P| exceeds SIGN_ZERO_TOL; see
-        :meth:`OrthoProjection.abs_is_positive`."""
-        return bool(np.all(np.abs(self.values) > SIGN_ZERO_TOL))
-
     def signs(self) -> BlowupSpec:
-        """Sgn(P) as the blow-up of Sgn(values) with the same
-        multiplicities: off-diagonal blocks carry the sign of their value
-        and diagonal blocks are +1, because beta_ii = Pi_ii / p_i >= 0."""
-        return BlowupSpec(sign_matrix_of(self.values, SIGN_ZERO_TOL),
-                          self.multiplicities)
+        """Sgn(P) as the blow-up of Sgn(Pi) with the same
+        multiplicities."""
+        return BlowupSpec(sign_matrix_of(self.core), self.multiplicities)
 
     def dense(self) -> OrthoProjection:
         """The d x d projection P, validated; O(d^2) memory and O(d^3)
         time."""
         _check_dense(self.d)
+        values = self.core.entries / np.sqrt(np.outer(self.sizes,
+                                                      self.sizes))
         p = np.asarray(self.multiplicities)
-        big = np.repeat(np.repeat(self.values, p, axis=0), p, axis=1)
+        big = np.repeat(np.repeat(values, p, axis=0), p, axis=1)
         return OrthoProjection(big, self.n)

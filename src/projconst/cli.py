@@ -61,7 +61,11 @@ def _load_projection(spec: str, tol: float):
     if spec in seeds.SEEDS or not os.path.exists(spec):
         mat = seeds.get_seed(spec).entries  # unknown names list the seeds
     else:
-        mat = matrix_from_json(_load_json(spec))
+        obj = _load_json(spec)
+        # A search --out file holds the projection under "P".
+        mat = (np.asarray(obj["P"], dtype=float)
+               if isinstance(obj, dict) and "P" in obj
+               else matrix_from_json(obj))
     n = int(round(float(np.trace(mat))))
     return validate_projection(mat, n, tol)
 

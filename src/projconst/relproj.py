@@ -218,32 +218,34 @@ def trace_certificate(a, p, space: str) -> DualityWitness:
 
     ``p`` is the orthogonal projection P onto the subspace E (for a basis,
     ``SubspaceBasis.orthogonal_projection()``), dense or as a
-    :class:`BlockProjection`; for the latter ``a`` holds the block values
-    of a block-constant witness, and nu1(A), AP - PAP and Tr(AP) are read
-    off the block values (see the ``blowup`` module docstring).  Requires
-    finite entries, nu1(A) = 1 within 1e-9 and AP = PAP within 1e-8; the
-    value Tr(AP), the correctly rounded sum of the diagonal of AP, is then
-    <= Pi(E).
+    :class:`BlockProjection` with core Pi and W = diag(sqrt(p)); for the
+    latter ``a`` holds the block values alpha of a block-constant witness,
+    and everything is checked in the frame of the core with
+    A~ = W alpha W (see the ``blowup`` module docstring).  Requires finite
+    entries, nu1(A) = 1 within 1e-9 and A~ Pi = Pi A~ Pi (AP = PAP)
+    within 1e-8; the value Tr(A~ Pi) = Tr(AP), the correctly rounded sum
+    of the diagonal of A~ Pi, is then <= Pi(E).  A dense P has W = I.
     """
     m = _as_square_array(_entries_of(a), "witness")
     _check_space(space)
     blocks = BlockProjection.of(p)
-    beta, sizes = blocks.values, blocks.sizes
-    if m.shape != beta.shape:
+    core, sizes = blocks.core.entries, blocks.sizes
+    if m.shape != core.shape:
         raise PreconditionError(
-            f"witness has shape {m.shape}, expected {beta.shape}: the "
+            f"witness has shape {m.shape}, expected {core.shape}: the "
             f"subspace lives in dimension d={blocks.d}")
     norm = _block_nu1(m, sizes, space)
     if abs(norm - 1.0) > 1e-9:
         raise WitnessNormalizationError(
             f"nu1(A) = {norm:.12g}, expected 1 within 1e-9")
-    # Block values of AP and PAP; multiplying by sizes of 1 is exact.
-    mp = (m * sizes) @ beta
-    defect = float(np.abs(mp - (beta * sizes) @ mp).max())
+    # A~ Pi; multiplying by sqrt(1) = 1 is exact.
+    w = np.sqrt(sizes)
+    mp = (w[:, None] * m * w) @ core
+    defect = float(np.abs(mp - core @ mp).max())
     if defect > 1e-8:
         raise WitnessConstraintError(
             f"AP = PAP violated by {defect:.3e} (tolerance 1e-8)")
-    return DualityWitness(m, space, math.fsum(sizes * np.diagonal(mp)))
+    return DualityWitness(m, space, math.fsum(np.diagonal(mp)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,9 +5,10 @@ import pytest
 from scipy.linalg import expm
 
 from projconst import (BlockProjection, BlowupSpec, PreconditionError,
-                       ResourceExhausted, SignMatrix, almost_minimal,
-                       blow_up, certify, choose_k, dirichlet_approx, eig_sym,
-                       eta_of_eps, kyfan_sum, perron, sign_matrix_of,
+                       ResourceExhausted, SignMatrix, WitnessConstraintError,
+                       almost_minimal, blow_up, certify, choose_k,
+                       dirichlet_approx, eig_sym, eta_of_eps, exhaustive_pi,
+                       kyfan_sum, perron, sign_matrix_of, trace_certificate,
                        validate_projection, weighted_equivalent)
 from projconst.almostmin import _kyfan_blocks
 from projconst.seeds import get_seed, paley, perturbed_hex3
@@ -258,7 +259,8 @@ class TestBlockForm:
             if spec.multiplicities != mult:
                 continue  # dense fallback: not a block-constant lift
             lifted = sign_matrix_of(p.dense())
-            block_signs = BlowupSpec(sign_matrix_of(p.values), mult)
+            beta = p.core.entries / np.sqrt(np.outer(mult, mult))
+            block_signs = BlowupSpec(sign_matrix_of(beta), mult)
             assert np.array_equal(lifted.entries,
                                   blow_up(block_signs).entries)
             assert np.array_equal(p.signs().base.entries,
@@ -301,7 +303,7 @@ class TestBlockForm:
         assert out_spec.multiplicities == p.multiplicities == (1,) * 5
         assert np.array_equal(out_spec.base.entries, np.ones((5, 5)))
         _, dense = kyfan_sum(np.ones((5, 5)), 2)
-        assert np.array_equal(p.values, dense.entries)
+        assert np.array_equal(p.core.entries, dense.entries)
 
     def test_core_is_kyfan_sum_of_the_weighted_problem(self):
         rng = np.random.default_rng(72)
@@ -323,6 +325,41 @@ class TestBlockForm:
             assert np.array_equal(p.core.entries, core.entries)
             block_form += 1
         assert block_form >= 20
+
+    @staticmethod
+    def scale_cases():
+        """(core, p, expected witness kind) for hex3, icosa6 and the Ky
+        Fan core of the Pi(3, 5) maximizer blown up by (3, 5, 2, 4, 7)."""
+        mult = (3, 5, 2, 4, 7)
+        spec, p = _kyfan_blocks(BlowupSpec(exhaustive_pi(3, 5).S, mult), 3)
+        assert spec.multiplicities == mult
+        return [(get_seed("hex3"), (1,) * 3, "perron"),
+                (get_seed("icosa6"), (1,) * 6, "perron"),
+                (p.core, mult, "uniform")]
+
+    def test_certify_is_scale_free(self):
+        # the same core blown up by c p certifies the same numbers at any
+        # d, up to d = 6e15 for icosa6
+        for core, mult, kind in self.scale_cases():
+            ref = certify(BlockProjection(core, mult))
+            assert ref.witness_kind == kind
+            for c in (10**3, 10**6, 10**9, 10**12, 10**15):
+                cert = certify(BlockProjection(core, [c * x for x in mult]))
+                assert cert.witness_kind == kind, c
+                for name in ("r", "R", "lower_bound"):
+                    assert abs(getattr(cert, name)
+                               - getattr(ref, name)) <= 1e-12, (c, name)
+
+    def test_non_commuting_witness_rejected_at_any_d(self):
+        rng = np.random.default_rng(73)
+        for core, mult, _ in self.scale_cases():
+            for d in (10**6, 10**9, 10**15):
+                c = round(d / sum(mult))
+                blocks = BlockProjection(core, [c * x for x in mult])
+                alpha = rng.standard_normal((blocks.m, blocks.m))
+                alpha /= (blocks.sizes * np.abs(alpha).max(axis=1)).sum()
+                with pytest.raises(WitnessConstraintError):
+                    trace_certificate(alpha, blocks, "l1")
 
     def test_dense_fallback_is_guarded(self):
         spec = BlowupSpec(SignMatrix(np.ones((2, 2))), (2049, 2048))

@@ -131,6 +131,21 @@ def test_almost_min_matrices_beyond_dense_cap(tmp_path, capsys):
     assert "resource error" in err and "4096" in err
 
 
+def test_search_out_feeds_almost_min_and_certify(tmp_path, capsys):
+    path = str(tmp_path / "r.json")
+    code, _, _ = run_cli(capsys, "search", "--n", "3", "--d", "6",
+                         "--exhaustive", "--out", path)
+    assert code == 0
+    phi = (1 + 5 ** 0.5) / 2
+    code, out, _ = run_cli(capsys, "almost-min", "--n", "3", "--eps", "1",
+                           "--seed", path)
+    assert code == 0
+    assert abs(json.loads(out)["certificate"]["lower_bound"] - phi) <= 1e-12
+    code, out, _ = run_cli(capsys, "certify", "--seed", path)
+    assert code == 0
+    assert abs(json.loads(out)["lower_bound"] - phi) <= 1e-12
+
+
 def test_almost_min_unknown_seed(capsys):
     code, _, err = run_cli(capsys, "almost-min", "--n", "2", "--eps", "0.1",
                            "--seed", "nosuch")
