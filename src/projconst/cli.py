@@ -18,8 +18,8 @@ import numpy as np
 from . import almostmin, blowup, rationalize, relproj, search, seeds
 from .errors import GuardRefusal, ProjconstError, ResourceExhausted
 from .eigsum import cucc_selection
-from .matcore import (matrix_from_json, matrix_to_json, sign_matrix_of,
-                      validate_projection)
+from .matcore import (_json_array, matrix_from_json, matrix_to_json,
+                      sign_matrix_of, validate_projection)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -63,7 +63,7 @@ def _load_projection(spec: str, tol: float):
     else:
         obj = _load_json(spec)
         # A search --out file holds the projection under "P".
-        mat = (np.asarray(obj["P"], dtype=float)
+        mat = (_json_array(obj["P"], "search result P")
                if isinstance(obj, dict) and "P" in obj
                else matrix_from_json(obj))
     n = int(round(float(np.trace(mat))))

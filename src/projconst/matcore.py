@@ -365,11 +365,26 @@ def matrix_to_json(a) -> dict:
     return {"d": int(m.shape[0]), "rows": [list(map(float, row)) for row in m]}
 
 
+def _json_array(value, name: str) -> np.ndarray:
+    """A JSON value as a float array; PreconditionError if it is not
+    numeric (an object, a string or a ragged list)."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise PreconditionError(f"{name} must be numeric") from None
+
+
+def _json_int(value, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise PreconditionError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def matrix_from_json(obj: dict) -> np.ndarray:
     if not isinstance(obj, dict) or "d" not in obj or "rows" not in obj:
         raise PreconditionError('matrix JSON must have keys "d" and "rows"')
-    d = int(obj["d"])
-    a = np.asarray(obj["rows"], dtype=float)
+    d = _json_int(obj["d"], "matrix JSON d")
+    a = _json_array(obj["rows"], "matrix JSON rows")
     if a.shape != (d, d):
         raise PreconditionError(
             f'matrix JSON rows have shape {a.shape}, expected ({d}, {d})')

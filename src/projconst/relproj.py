@@ -27,7 +27,7 @@ from .errors import (InvariantViolation, NumericalError, PreconditionError,
                      WitnessConstraintError, WitnessNormalizationError)
 from .eigsum import kyfan_sum
 from .matcore import (OrthoProjection, SignMatrix, _as_square_array,
-                      _entries_of, eig_sym)
+                      _entries_of, _json_array, _json_int, eig_sym)
 
 _SPACES = ("l1", "linf")
 
@@ -75,13 +75,13 @@ class SubspaceBasis:
     def from_json(cls, obj: dict) -> "SubspaceBasis":
         if not isinstance(obj, dict) or "columns" not in obj:
             raise PreconditionError('basis JSON must have key "columns"')
-        cols = np.asarray(obj["columns"], dtype=float)
+        cols = _json_array(obj["columns"], "basis columns")
         if cols.ndim != 2:
             raise PreconditionError("basis columns must form a 2-d array")
         v = cols.T
-        if "d" in obj and int(obj["d"]) != v.shape[0]:
+        if "d" in obj and _json_int(obj["d"], "basis JSON d") != v.shape[0]:
             raise PreconditionError("basis JSON d does not match columns")
-        if "n" in obj and int(obj["n"]) != v.shape[1]:
+        if "n" in obj and _json_int(obj["n"], "basis JSON n") != v.shape[1]:
             raise PreconditionError("basis JSON n does not match columns")
         return cls(v)
 

@@ -317,6 +317,23 @@ def test_certify_rejects_bad_tol(tmp_path, capsys, tol):
         assert "tol must be finite and >= 0" in err
 
 
+@pytest.mark.parametrize("command, flag, obj", [
+    ("certify", "--seed", {"d": 1, "rows": {"a": 1}}),
+    ("certify", "--seed", {"d": [2], "rows": [[1, 0], [0, 1]]}),
+    ("certify", "--seed", {"P": {"a": 1}}),
+    ("relproj", "--basis", {"columns": {"a": 1}}),
+])
+def test_non_numeric_matrix_json_is_an_input_error(tmp_path, capsys,
+                                                   command, flag, obj):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    extra = ["--space", "l1"] if command == "relproj" else []
+    code, out, err = run_cli(capsys, command, flag, str(path), *extra)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_certify_zero_tol_is_exact(tmp_path, capsys):
     # exactly symmetric, so the old check let it through at tol 0
     path = tmp_path / "bad.json"

@@ -6,6 +6,7 @@ import pytest
 from projconst import (PreconditionError, cucc_selection, equality_case,
                        kyfan_sum, pi_n_general, spectral_gap_bound,
                        validate_projection)
+from projconst.eigsum import _REAL_AXIS_TOL
 from projconst.seeds import C_ICOSA, icosa6
 
 J3 = np.ones((3, 3))
@@ -76,18 +77,66 @@ class TestPiNGeneral:
             a = 0.5 * (a + a.T)
             assert pi_n_general(a, n) == kyfan_sum(a, n)[0]
 
+    def check_against_bruteforce(self, m, n):
+        sel = cucc_selection(m, n)
+        want = pi_n_bruteforce(m, n)
+        if want == -np.inf:
+            assert sel is None
+            return
+        assert abs(sel.value - want) <= 1e-12
+        # a chosen pair start comes with its LAPACK partner at i + 1
+        evals = np.linalg.eigvals(np.asarray(m, dtype=float))
+        for i in sel.indices:
+            if evals[i].imag > _REAL_AXIS_TOL:
+                assert i + 1 in sel.indices
+
     def test_against_bruteforce(self):
         rng = np.random.default_rng(3)
         for _ in range(60):
             d = int(rng.integers(2, 7))
             n = int(rng.integers(1, d + 1))
-            m = rng.standard_normal((d, d))
-            got = pi_n_general(m, n)
-            want = pi_n_bruteforce(m, n)
-            if want == -np.inf:
-                assert got == -np.inf
-            else:
-                assert abs(got - want) <= 1e-7
+            self.check_against_bruteforce(rng.standard_normal((d, d)), n)
+
+    def test_repeated_rotation_blocks(self):
+        # equal conjugate pairs 0.8 +- 0.6i (three times) and 0.5 +- 0.5i
+        rot = np.array([[0.8, -0.6], [0.6, 0.8]])
+        m = np.zeros((9, 9))
+        for k in range(3):
+            m[2 * k:2 * k + 2, 2 * k:2 * k + 2] = rot
+        m[6:8, 6:8] = [[0.5, -0.5], [0.5, 0.5]]
+        m[8, 8] = 0.9
+        for n in range(1, 10):
+            self.check_against_bruteforce(m, n)
+
+    def test_near_real_pair_counts_as_two_reals(self):
+        m = [[1.0, 1e-10], [-1e-10, 1.0]]
+        assert pi_n_general(m, 1) == 1.0
+        for n in (1, 2):
+            self.check_against_bruteforce(m, n)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_odd_n_without_real_eigenvalue(self, n):
+        m = np.zeros((4, 4))
+        m[:2, :2] = [[0.0, -1.0], [1.0, 0.0]]
+        m[2:, 2:] = [[2.0, -3.0], [3.0, 2.0]]
+        assert cucc_selection(m, n) is None
+        assert pi_n_general(m, n) == -np.inf
+        self.check_against_bruteforce(m, n)
+
+    def test_integer_matrices(self):
+        rng = np.random.default_rng(7)
+        for _ in range(60):
+            d = int(rng.integers(2, 8))
+            n = int(rng.integers(1, d + 1))
+            m = rng.integers(-2, 3, (d, d)).astype(float)
+            self.check_against_bruteforce(m, n)
+
+    @pytest.mark.parametrize("m", [[[np.nan, 0.0], [0.0, 1.0]],
+                                   [[np.inf, 0.0], [0.0, 1.0]],
+                                   np.ones((2, 3))])
+    def test_rejects_non_finite_or_non_square(self, m):
+        with pytest.raises(PreconditionError):
+            pi_n_general(m, 1)
 
     def test_selection_closed_under_conjugation(self):
         rng = np.random.default_rng(4)
