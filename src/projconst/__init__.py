@@ -16,10 +16,9 @@ from .eigsum import (CuccSelection, EqualityCase, GapBound, cucc_selection,
 from .errors import (GuardRefusal, InvariantViolation, NumericalError,
                      PreconditionError, ProjconstError, ResourceExhausted,
                      WitnessConstraintError, WitnessNormalizationError)
-from .matcore import (OrthoProjection, RowSumStats, SignMatrix, Spectrum,
-                      SymMatrix, WeightVector, eig_sym, matrix_from_json,
-                      matrix_to_json, perron, row_sum_stats, sign_matrix_of,
-                      validate_projection)
+from .matcore import (OrthoProjection, SignMatrix, Spectrum, SymMatrix,
+                      WeightVector, eig_sym, matrix_from_json, matrix_to_json,
+                      perron, sign_matrix_of, validate_projection)
 from .rationalize import RationalWeights, choose_k, dirichlet_approx
 from .relproj import (AttainmentResult, DualityWitness, LpProjection,
                       SubspaceBasis, attainment_check, min_projection_norm,
@@ -35,7 +34,7 @@ __all__ = [
     "Certificate", "CuccSelection", "DualityWitness", "EqualityCase",
     "GapBound", "GuardRefusal", "InvariantViolation", "LpProjection",
     "NumericalError", "OrthoProjection", "PipelineResult", "PreconditionError",
-    "ProjconstError", "RationalWeights", "ResourceExhausted", "RowSumStats",
+    "ProjconstError", "RationalWeights", "ResourceExhausted",
     "SEEDS", "SearchResult", "SignMatrix", "Spectrum",
     "SubspaceBasis", "SymMatrix", "WeightVector", "WitnessConstraintError",
     "WitnessNormalizationError", "almost_minimal", "alternate_maximize",
@@ -44,6 +43,6 @@ __all__ = [
     "eta_of_eps", "etf_bound", "exhaustive_pi", "get_seed",
     "gruenbaum_floor", "kyfan_sum", "matrix_from_json", "matrix_to_json",
     "min_projection_norm", "nu1", "operator_norm", "perron", "pi_n_general",
-    "row_sum_stats", "sign_matrix_of", "spectral_gap_bound",
+    "sign_matrix_of", "spectral_gap_bound",
     "trace_certificate", "validate_projection", "weighted_equivalent",
 ]

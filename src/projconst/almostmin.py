@@ -126,8 +126,10 @@ class PipelineResult:
 
 def certify(p: OrthoProjection | BlockProjection) -> Certificate:
     """Certificate for a projection: Perron radius of |P| (when positive),
-    extreme absolute row sums, l1 operator norm, and a trace-duality lower
-    bound for the minimal projection norm onto range(P).
+    extreme absolute row sums r and R, the norm of P on l1^d (its largest
+    absolute column sum, which is R because P is exactly symmetric), and
+    a trace-duality lower bound for the minimal projection norm onto
+    range(P).
 
     A dense P is the blow-up of itself with all multiplicities 1, so
     every step runs on the core Pi and W = diag(sqrt(p)) (see the
@@ -144,17 +146,15 @@ def certify(p: OrthoProjection | BlockProjection) -> Certificate:
     sizes = blocks.sizes
     w = np.sqrt(sizes)
     a = blocks.core.abs_entries()
-    # Row and column sums of |P| per block, reduced as the dense
-    # row_sum_stats and operator_norm reduce them; sqrt(1) = 1 is exact.
+    # Absolute row sums of P per block; sqrt(1) = 1 is exact.
     rows = (a * w).sum(axis=1) / w
     r, big_r = float(rows.min()), float(rows.max())
-    op = float(((w[:, None] * a).sum(axis=0) / w).max())
     rho: float | None = None
     lower: float | None = None
     kind: str | None = None
     if blocks.core.abs_is_positive():
         rho, v = perron(a)
-        signs = blocks.signs().base.entries
+        signs = sign_matrix_of(blocks.core).entries
         # Perron vector J v of |P|: block i holds v_i / sqrt(p_i).
         weights = v * v / sizes
         weights = weights / (sizes * weights).sum()
@@ -169,8 +169,8 @@ def certify(p: OrthoProjection | BlockProjection) -> Certificate:
                 continue
             lower, kind = cert.value, name
             break
-    gap_min = None if lower is None else op - lower
-    return Certificate(rho, r, big_r, op, lower, big_r - r, gap_min, kind)
+    gap_min = None if lower is None else big_r - lower
+    return Certificate(rho, r, big_r, big_r, lower, big_r - r, gap_min, kind)
 
 
 def _kyfan_blocks(spec: BlowupSpec,

@@ -28,8 +28,8 @@ any d:
   Tr(AP) = Tr(A~ Pi).
 
 A dense projection is the case p = (1, ..., 1), W = I, whose core is
-itself.  Only ``blow_up`` and ``BlockProjection.dense`` build a d x d
-matrix, and both refuse d above 4096 before allocating.
+itself.  ``blow_up`` and ``BlockProjection.dense`` build their d x d
+matrices through ``_dense``, which refuses d above 4096 before allocating.
 """
 
 from __future__ import annotations
@@ -44,12 +44,16 @@ from .matcore import OrthoProjection, SignMatrix, SymMatrix, sign_matrix_of
 _DENSE_SIZE_LIMIT = 4096
 
 
-def _check_dense(d: int) -> None:
-    """The one guard on dense d x d matrices."""
+def _dense(values: np.ndarray, p: tuple[int, ...]) -> np.ndarray:
+    """The d x d matrix, d = sum(p), whose block (i, j) is constantly
+    values[i, j]; refuses d above the cap before allocating."""
+    d = sum(p)
     if d > _DENSE_SIZE_LIMIT:
         raise ResourceExhausted(
             f"a dense {d} x {d} matrix exceeds the cap {_DENSE_SIZE_LIMIT}; "
             f"the block form has no cap")
+    p = np.asarray(p)
+    return np.repeat(np.repeat(values, p, axis=0), p, axis=1)
 
 
 def _multiplicities(p, m: int) -> tuple[int, ...]:
@@ -88,12 +92,8 @@ def blow_up(spec: BlowupSpec) -> SignMatrix:
     Block (i, j) is constantly s_ij for i != j; diagonal blocks are
     constantly +1 because copies of a vertex are non-adjacent.
     """
-    _check_dense(spec.d)
-    p = np.asarray(spec.multiplicities)
-    s = spec.base.entries
-    big = np.repeat(np.repeat(s, p, axis=0), p, axis=1)
     # s_ii = +1 already, so diagonal blocks come out all +1.
-    return SignMatrix(big)
+    return SignMatrix(_dense(spec.base.entries, spec.multiplicities))
 
 
 def weighted_equivalent(spec: BlowupSpec) -> SymMatrix:
@@ -160,9 +160,6 @@ class BlockProjection:
     def dense(self) -> OrthoProjection:
         """The d x d projection P, validated; O(d^2) memory and O(d^3)
         time."""
-        _check_dense(self.d)
         values = self.core.entries / np.sqrt(np.outer(self.sizes,
                                                       self.sizes))
-        p = np.asarray(self.multiplicities)
-        big = np.repeat(np.repeat(values, p, axis=0), p, axis=1)
-        return OrthoProjection(big, self.n)
+        return OrthoProjection(_dense(values, self.multiplicities), self.n)

@@ -16,10 +16,11 @@ import sys
 import numpy as np
 
 from . import almostmin, blowup, rationalize, relproj, search, seeds
-from .errors import GuardRefusal, ProjconstError, ResourceExhausted
+from .errors import (GuardRefusal, PreconditionError, ProjconstError,
+                     ResourceExhausted)
 from .eigsum import cucc_selection
-from .matcore import (_json_array, matrix_from_json, matrix_to_json,
-                      sign_matrix_of, validate_projection)
+from .matcore import (_as_square_array, _json_array, matrix_from_json,
+                      matrix_to_json, sign_matrix_of, validate_projection)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -66,8 +67,12 @@ def _load_projection(spec: str, tol: float):
         mat = (_json_array(obj["P"], "search result P")
                if isinstance(obj, dict) and "P" in obj
                else matrix_from_json(obj))
-    n = int(round(float(np.trace(mat))))
-    return validate_projection(mat, n, tol)
+    mat = _as_square_array(mat, "projection")
+    with np.errstate(over="ignore"):
+        trace = float(np.trace(mat))
+    if not np.isfinite(trace):
+        raise PreconditionError(f"projection trace {trace} is not finite")
+    return validate_projection(mat, round(trace), tol)
 
 
 def _add_out(sub: argparse.ArgumentParser) -> None:

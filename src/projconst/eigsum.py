@@ -28,6 +28,8 @@ from .matcore import (OrthoProjection, _as_square_array, _entries_of, _kyfan,
 _REAL_AXIS_TOL = 1e-8
 _PAIRING_TOL = 1e-8
 
+_EQUALITY_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class CuccSelection:
@@ -123,17 +125,17 @@ class EqualityCase:
     is_maximizer: bool
 
 
-def equality_case(a, p: OrthoProjection, tol: float = 1e-9) -> EqualityCase:
+def equality_case(a, p: OrthoProjection) -> EqualityCase:
     """Diagnose whether Tr(AP) attains the Ky Fan sum and whether A and P
-    commute (maximizers always commute)."""
+    commute (maximizers always commute), both within 1e-9."""
     am = _entries_of(a)
     pm = p.entries
     if am.shape != pm.shape:
         raise PreconditionError("dimension mismatch between A and P")
-    commutes = float(np.abs(am @ pm - pm @ am).max()) <= tol
+    commutes = float(np.abs(am @ pm - pm @ am).max()) <= _EQUALITY_TOL
     value = float(np.trace(am @ pm))
     target = float(np.sum(eig_sym(am).eigenvalues[:p.n]))
-    return EqualityCase(commutes, abs(value - target) <= tol)
+    return EqualityCase(commutes, abs(value - target) <= _EQUALITY_TOL)
 
 
 @dataclass(frozen=True)

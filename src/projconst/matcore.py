@@ -4,7 +4,7 @@ Provides the matrix classes used everywhere else (symmetric matrices, sign
 matrices, simplex weight vectors, rank-n orthogonal projections, spectra)
 together with the spectral primitives: a deterministic symmetric
 eigensolver wrapper, Perron pairs of positive matrices, sign matrices of
-thresholded signs, projection validation, and absolute row-sum statistics.
+thresholded signs, and projection validation.
 Every spectral primitive takes the same dense LAPACK path at every d.
 The search and the almost-minimal pipeline share two stack steps, the
 rank-n Ky Fan maximizer and the Perron weights, implemented once here.
@@ -340,22 +340,6 @@ def validate_projection(p, n: int, tol: float = DEFAULT_TOL) -> OrthoProjection:
     return OrthoProjection(_entries_of(p), n, tol)
 
 
-@dataclass(frozen=True)
-class RowSumStats:
-    r: float
-    R: float
-    gap: float
-
-
-def row_sum_stats(p) -> RowSumStats:
-    """Smallest and largest absolute row sums of a matrix, and their gap."""
-    a = np.abs(_entries_of(p))
-    sums = a.sum(axis=1)
-    r = float(sums.min())
-    big = float(sums.max())
-    return RowSumStats(r, big, big - r)
-
-
 # ---------------------------------------------------------------------------
 # Matrix JSON format: {"d": int, "rows": [[...], ...]}.  Python's float
 # repr round-trips bit-exactly, so writers emit full precision.
@@ -366,12 +350,20 @@ def matrix_to_json(a) -> dict:
 
 
 def _json_array(value, name: str) -> np.ndarray:
-    """A JSON value as a float array; PreconditionError if it is not
-    numeric (an object, a string or a ragged list)."""
+    """A JSON value as a float array; PreconditionError unless it is a
+    number or a regular nested list of numbers, booleans excluded."""
+    stack = [value]
+    while stack:
+        leaf = stack.pop()
+        if isinstance(leaf, list):
+            stack.extend(leaf)
+        elif isinstance(leaf, bool) or not isinstance(leaf, (int, float)):
+            raise PreconditionError(
+                f"{name} must hold JSON numbers only, got {leaf!r}")
     try:
         return np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        raise PreconditionError(f"{name} must be numeric") from None
+    except (OverflowError, ValueError):
+        raise PreconditionError(f"{name} is not a float array") from None
 
 
 def _json_int(value, name: str) -> int:

@@ -51,7 +51,11 @@ def choose_k(n: int, m: int, eps: float, eps0: float) -> int:
         raise PreconditionError("n and m must be positive")
     if not all(math.isfinite(x) and x > 0 for x in (eps, eps0)):
         raise PreconditionError("eps and eps0 must be finite and positive")
-    bound = 4.0 * (m - 1) * math.sqrt(n) / (eps * eps0)
+    denom = eps * eps0
+    bound = 4.0 * (m - 1) * math.sqrt(n) / denom if denom > 0 else math.inf
+    if not math.isfinite(bound):
+        raise PreconditionError(
+            f"eps * eps0 = {denom!r} is too small for a finite k")
     return max(1, int(math.floor(bound)) + 1)
 
 

@@ -30,6 +30,7 @@ from .matcore import (OrthoProjection, SignMatrix, _as_square_array,
                       _entries_of, _json_array, _json_int, eig_sym)
 
 _SPACES = ("l1", "linf")
+_ATTAINMENT_TOL = 1e-7
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,17 +135,13 @@ class LpProjection:
 
     ``Q`` is a projection onto E with operator norm ``value``, so
     value >= Pi(E); ``witness`` comes from the LP duals and certifies
-    Tr(AP) = value <= Pi(E).  ``pivots`` counts simplex pivots.  Unpacks
-    as ``value, Q``.
+    Tr(AP) = value <= Pi(E).  ``pivots`` counts simplex pivots.
     """
 
     value: float
     Q: np.ndarray
     witness: DualityWitness
     pivots: int
-
-    def __iter__(self):
-        return iter((self.value, self.Q))
 
 
 def min_projection_norm(basis: SubspaceBasis, space: str) -> LpProjection:
@@ -260,8 +257,8 @@ class AttainmentResult:
     mean_abs_sum: float
 
 
-def attainment_check(s: SignMatrix, n: int, reference: float | None = None,
-                     tol: float = 1e-7) -> AttainmentResult:
+def attainment_check(s: SignMatrix, n: int,
+                     reference: float | None = None) -> AttainmentResult:
     """Check whether a sign matrix realizes its normalized Ky Fan value as
     a relative projection constant.
 
@@ -270,7 +267,7 @@ def attainment_check(s: SignMatrix, n: int, reference: float | None = None,
     op_norm_l1(P) = min_projection_norm(E, l1) = rho(|P|) = mean abs sum.
     ``value`` is pi_n(S) / d.  When ``reference`` is given (a known or
     searched maximal value for the same (n, d)), attainment additionally
-    requires value >= reference - tol.
+    requires value >= reference - 1e-7; the equalities hold within 1e-7.
     """
     d = s.d
     ky_value, p = kyfan_sum(s, n)
@@ -281,7 +278,8 @@ def attainment_check(s: SignMatrix, n: int, reference: float | None = None,
     rho = float(eig_sym(p.abs_entries()).eigenvalues[0])
     mean_abs = float(np.abs(p.entries).sum()) / d
     quantities = (op, lp_value, rho, mean_abs)
-    equalities = max(quantities) - min(quantities) <= tol
-    attained = equalities and (reference is None or value >= reference - tol)
+    equalities = max(quantities) - min(quantities) <= _ATTAINMENT_TOL
+    attained = equalities and (reference is None
+                               or value >= reference - _ATTAINMENT_TOL)
     return AttainmentResult(bool(attained), bool(equalities), basis, value,
                             op, lp_value, rho, mean_abs)

@@ -76,7 +76,7 @@ def test_criterion_02_golden_ratio_certificates():
             assert abs(x - PHI) <= 1e-10
         basis = SubspaceBasis(
             eig_sym(get_seed("icosa6").entries).eigenvectors[:, :3])
-        lp_value, _ = min_projection_norm(basis, "l1")
+        lp_value = min_projection_norm(basis, "l1").value
         assert abs(lp_value - PHI) <= 1e-6
         assert time.perf_counter() - t0 < 5.0
 
@@ -179,7 +179,7 @@ def test_criterion_08_weak_duality():
         hex_witness = trace_certificate(
             (2 * np.eye(3) - np.ones((3, 3))) / 3,
             hex_basis.orthogonal_projection(), "l1")
-        hex_lp, _ = min_projection_norm(hex_basis, "l1")
+        hex_lp = min_projection_norm(hex_basis, "l1").value
         assert abs(hex_witness.value - hex_lp) <= 1e-7
 
         icosa_basis = SubspaceBasis(
@@ -187,7 +187,7 @@ def test_criterion_08_weak_duality():
         icosa_witness = trace_certificate(
             (np.eye(6) + C_ICOSA) / 6, icosa_basis.orthogonal_projection(),
             "l1")
-        icosa_lp, _ = min_projection_norm(icosa_basis, "l1")
+        icosa_lp = min_projection_norm(icosa_basis, "l1").value
         assert abs(icosa_witness.value - icosa_lp) <= 1e-7
 
         # A = P D Sgn(P), D the Perron weights of |P|, satisfies AP = PAP
@@ -209,7 +209,7 @@ def test_criterion_08_weak_duality():
             witness_mat = witness_mat / nu1(witness_mat, "l1")
             witness = trace_certificate(
                 witness_mat, basis.orthogonal_projection(), "l1")
-            lp_value, _ = min_projection_norm(basis, "l1")
+            lp_value = min_projection_norm(basis, "l1").value
             assert witness.value <= lp_value + 1e-7
             checked += 1
         # all 92 draws of this seed with positive |P|

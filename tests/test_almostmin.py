@@ -60,6 +60,7 @@ class TestCertify:
         cert = certify(p)
         for x in (cert.rho, cert.r, cert.R, cert.lower_bound):
             assert abs(x - (1 + np.sqrt(q)) / 2) <= 1e-12
+        assert cert.op_norm_l1 == cert.R
         assert cert.witness_kind == "perron"
 
     def test_coordinate_projection_absent_fields(self):
@@ -290,8 +291,9 @@ class TestBlockForm:
             cases.append(_kyfan_blocks(spec, n)[1])
         kinds = set()
         for blocks in cases:
-            cert = certify(blocks)
-            assert_certs_agree(cert, certify(blocks.dense()), 1e-12)
+            cert, dense = certify(blocks), certify(blocks.dense())
+            assert_certs_agree(cert, dense, 1e-12)
+            assert cert.op_norm_l1 == cert.R and dense.op_norm_l1 == dense.R
             kinds.add(cert.witness_kind)
         assert kinds == {"perron", "uniform", None}
 

@@ -162,6 +162,16 @@ def test_almost_min_rejects_non_finite_eps(capsys, eps):
     assert "eps must be positive and finite" in err
 
 
+# eta * eps0 is subnormal, so k would be infinite, or underflows to 0
+@pytest.mark.parametrize("eps", ["1e-155", "1e-160"])
+def test_almost_min_rejects_eps_too_small_for_a_finite_k(capsys, eps):
+    code, out, err = run_cli(capsys, "almost-min", "--n", "2", "--eps", eps,
+                             "--seed", "hex3")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "finite k" in err
+
+
 def test_relproj_hexagon(tmp_path, capsys):
     basis_file = tmp_path / "hex.json"
     basis_file.write_text(json.dumps(
@@ -322,6 +332,10 @@ def test_certify_rejects_bad_tol(tmp_path, capsys, tol):
     ("certify", "--seed", {"d": [2], "rows": [[1, 0], [0, 1]]}),
     ("certify", "--seed", {"P": {"a": 1}}),
     ("relproj", "--basis", {"columns": {"a": 1}}),
+    ("certify", "--seed", {"d": 2, "rows": [["1", "0"], ["0", "0"]]}),
+    ("certify", "--seed", {"d": 2, "rows": [[True, False], [False, False]]}),
+    ("certify", "--seed", {"P": [[1, 0], [0, False]]}),
+    ("relproj", "--basis", {"columns": [["1", "0", "0"]]}),
 ])
 def test_non_numeric_matrix_json_is_an_input_error(tmp_path, capsys,
                                                    command, flag, obj):
@@ -332,6 +346,19 @@ def test_non_numeric_matrix_json_is_an_input_error(tmp_path, capsys,
     assert code == 1
     assert out == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("obj", [
+    {"d": 2, "rows": [[1e308, 0], [0, 1e308]]},
+    {"P": [[1e308, 0], [0, 1e308]]},
+])
+def test_certify_rejects_overflowing_trace(tmp_path, capsys, obj):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, "certify", "--seed", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_certify_zero_tol_is_exact(tmp_path, capsys):

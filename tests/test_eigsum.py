@@ -182,16 +182,16 @@ class TestKyFanInequality:
 class TestEqualityCase:
     def test_hexagon(self):
         p = validate_projection(np.eye(3) - J3 / 3, 2)
-        res = equality_case(2 * np.eye(3) - J3, p, 1e-9)
+        res = equality_case(2 * np.eye(3) - J3, p)
         assert res.commutes and res.is_maximizer
 
     def test_coordinate_projections(self):
         a = np.diag([2.0, 1.0])
         top = validate_projection(np.diag([1.0, 0.0]), 1)
         bottom = validate_projection(np.diag([0.0, 1.0]), 1)
-        res = equality_case(a, top, 1e-9)
+        res = equality_case(a, top)
         assert res.commutes and res.is_maximizer
-        res = equality_case(a, bottom, 1e-9)
+        res = equality_case(a, bottom)
         assert res.commutes and not res.is_maximizer
 
 

@@ -5,8 +5,8 @@ import pytest
 
 from projconst import (InvariantViolation, OrthoProjection,
                        PreconditionError, SignMatrix, SymMatrix,
-                       WeightVector, eig_sym, matrix_from_json,
-                       matrix_to_json, perron, row_sum_stats, sign_matrix_of,
+                       WeightVector, certify, eig_sym, matrix_from_json,
+                       matrix_to_json, perron, sign_matrix_of,
                        validate_projection)
 from projconst.seeds import icosa6
 
@@ -212,19 +212,19 @@ class TestValidateProjection:
 
 class TestRowSums:
     def test_hexagon(self):
-        stats = row_sum_stats(hex_projection())
-        assert abs(stats.r - 4 / 3) <= 1e-12
-        assert abs(stats.R - 4 / 3) <= 1e-12
-        assert stats.gap <= 1e-12
+        cert = certify(hex_projection())
+        assert abs(cert.r - 4 / 3) <= 1e-12
+        assert abs(cert.R - 4 / 3) <= 1e-12
+        assert cert.gap_rows <= 1e-12
 
     def test_icosa(self):
-        stats = row_sum_stats(icosa6())
+        cert = certify(icosa6())
         phi = (1 + np.sqrt(5)) / 2
-        assert abs(stats.r - phi) <= 1e-12 and abs(stats.R - phi) <= 1e-12
+        assert abs(cert.r - phi) <= 1e-12 and abs(cert.R - phi) <= 1e-12
 
     def test_rank_one_diag(self):
-        stats = row_sum_stats(np.diag([1.0, 0.0]))
-        assert stats.r == 0.0 and stats.R == 1.0
+        cert = certify(validate_projection(np.diag([1.0, 0.0]), 1))
+        assert cert.r == 0.0 and cert.R == 1.0
 
 
 class TestPerronRowSumBounds:
@@ -234,12 +234,12 @@ class TestPerronRowSumBounds:
             d = int(rng.integers(2, 9))
             n = int(rng.integers(1, d))
             q, _ = np.linalg.qr(rng.standard_normal((d, n)))
-            p = q @ q.T
-            if not np.all(np.abs(p) > 0):
+            p = validate_projection(q @ q.T, n)
+            if not np.all(np.abs(p.entries) > 0):
                 continue
-            rho, _ = perron(np.abs(p))
-            stats = row_sum_stats(p)
-            assert stats.r - 1e-9 <= rho <= stats.R + 1e-9
+            rho, _ = perron(p.abs_entries())
+            cert = certify(p)
+            assert cert.r - 1e-9 <= rho <= cert.R + 1e-9
 
 
 def test_matrix_json_roundtrip():

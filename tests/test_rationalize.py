@@ -26,6 +26,13 @@ class TestChooseK:
         with pytest.raises(PreconditionError, match="finite and positive"):
             choose_k(1, 2, eps, eps0)
 
+    # eps * eps0 underflows to 0, or is 1e-310 and the bound overflows
+    @pytest.mark.parametrize("eps, eps0", [(1e-200, 1e-200),
+                                           (1e-300, 1e-10)])
+    def test_rejects_eps_too_small_for_a_finite_k(self, eps, eps0):
+        with pytest.raises(PreconditionError, match="finite k"):
+            choose_k(2, 3, eps, eps0)
+
 
 def assert_matches_plain_scan(w, k, q_cap):
     """The scan grows its chunks; the first hit and the first global

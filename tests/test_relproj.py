@@ -106,33 +106,33 @@ class TestSubspaceBasis:
 
 class TestMinProjectionNorm:
     def test_hexagon_l1(self):
-        value, q = min_projection_norm(HEX_BASIS, "l1")
-        assert abs(value - 4 / 3) <= 1e-7
-        assert np.abs(q @ q - q).max() <= 1e-8
+        res = min_projection_norm(HEX_BASIS, "l1")
+        assert abs(res.value - 4 / 3) <= 1e-7
+        assert np.abs(res.Q @ res.Q - res.Q).max() <= 1e-8
 
     def test_coordinate_line_linf(self):
         basis = SubspaceBasis(np.array([[1.0], [0.0], [0.0]]))
-        value, q = min_projection_norm(basis, "linf")
-        assert abs(value - 1.0) <= 1e-9
+        res = min_projection_norm(basis, "linf")
+        assert abs(res.value - 1.0) <= 1e-9
         e11 = np.zeros((3, 3))
         e11[0, 0] = 1.0
-        assert np.abs(q - e11).max() <= 1e-8
+        assert np.abs(res.Q - e11).max() <= 1e-8
 
     def test_icosahedral_l1(self):
-        value, _ = min_projection_norm(icosa_basis(), "l1")
+        value = min_projection_norm(icosa_basis(), "l1").value
         assert abs(value - PHI) <= 1e-6
 
     def test_whole_space_identity(self):
         for d in (1, 2, 4):
             basis = SubspaceBasis(np.eye(d))
             for space in ("l1", "linf"):
-                value, q = min_projection_norm(basis, space)
-                assert abs(value - 1.0) <= 1e-9
-                assert np.abs(q - np.eye(d)).max() <= 1e-8
+                res = min_projection_norm(basis, space)
+                assert abs(res.value - 1.0) <= 1e-9
+                assert np.abs(res.Q - np.eye(d)).max() <= 1e-8
 
     @pytest.mark.parametrize("v, space", differential_cases())
     def test_matches_highs(self, v, space):
-        value, _ = min_projection_norm(SubspaceBasis(v), space)
+        value = min_projection_norm(SubspaceBasis(v), space).value
         assert abs(value - highs_min_projection_norm(v, space)) <= 1e-9
 
     @pytest.mark.parametrize("v, space", differential_cases())
@@ -165,8 +165,9 @@ class TestMinProjectionNorm:
             basis = SubspaceBasis(rng.standard_normal((d, n)))
             p_orth = basis.orthogonal_projection()
             for space in ("l1", "linf"):
-                value, q = min_projection_norm(basis, space)
-                assert value <= operator_norm(p_orth, space) + 1e-7
+                res = min_projection_norm(basis, space)
+                q = res.Q
+                assert res.value <= operator_norm(p_orth, space) + 1e-7
                 assert np.abs(q @ basis.V - basis.V).max() <= 1e-8
                 assert np.abs(q @ q - q).max() <= 1e-8
 
@@ -221,7 +222,7 @@ class TestTraceCertificate:
                 ((np.eye(6) + C_ICOSA) / 6, icosa_basis())):
             witness = trace_certificate(
                 witness_mat, basis.orthogonal_projection(), "l1")
-            lp_value, _ = min_projection_norm(basis, "l1")
+            lp_value = min_projection_norm(basis, "l1").value
             assert witness.value <= lp_value + 1e-7
             assert abs(witness.value - lp_value) <= 1e-7
 

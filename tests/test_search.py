@@ -8,8 +8,8 @@ import pytest
 
 from projconst import (GuardRefusal, PreconditionError, SignMatrix,
                        WeightVector, alternate_maximize, alternating_pi,
-                       etf_bound, exhaustive_pi, gruenbaum_floor, kyfan_sum,
-                       perron, pi_n_general, sign_matrix_of)
+                       certify, etf_bound, exhaustive_pi, gruenbaum_floor,
+                       kyfan_sum, perron, pi_n_general, sign_matrix_of)
 from projconst.search import (_ascend, _canonical_reps, _decode,
                               restart_weights)
 from projconst.seeds import C_ICOSA
@@ -393,7 +393,11 @@ class TestSwitchingReduction:
 
     @pytest.mark.parametrize("n", sorted(PI_8))
     def test_pi_n_8(self, n):
-        assert abs(exhaustive_pi(n, 8).value - PI_8[n]) <= 1e-9
+        result = exhaustive_pi(n, 8)
+        assert abs(result.value - PI_8[n]) <= 1e-9
+        # the l1 norm of P is its largest absolute row sum, bit for bit
+        cert = certify(result.P)
+        assert cert.op_norm_l1 == cert.R
 
 
 class TestClosedForms:
