@@ -3,16 +3,16 @@
 Minimizes c @ x subject to a x = b, x >= 0, from the caller's feasible
 basis ``start``: one distinct column index per row, with B = a[:, start]
 nonsingular and B^-1 b >= 0; a singular or infeasible start raises
-NumericalError.  A pivot only swaps the basis, and the tableau is then
-refactorized from the original data, so pivot decisions always see
-fresh numbers and the basis cannot drift into silent singularity.
-Pricing is Dantzig's most-negative reduced cost, with the leaving row
-picked among minimum-ratio rows by largest pivot element; after a long
-run of degenerate pivots both choices switch to Bland's smallest-index
+NumericalError.  Each pivot refactorizes B from the original data, so
+the basis cannot drift into silent singularity, and does one solve
+B^T y = c_B, one product c - A^T y for the reduced costs and one
+two-column solve B [x_B | d_e] = [b | a_e].  Pricing is Dantzig's
+most-negative reduced cost, with the leaving row picked among
+minimum-ratio rows by largest pivot element; after a long run of
+degenerate pivots both choices switch to Bland's smallest-index
 anti-cycling rule, which breaks any cycle, and revert once the
 objective moves again.  Tolerances are 1e-9.  The result carries the
-row duals c_B B^-1 of the optimal basis, so b @ duals equals the
-optimal value.
+duals y of the optimal basis, so b @ duals equals the optimal value.
 """
 
 from __future__ import annotations
@@ -45,13 +45,12 @@ def _entering(cost: np.ndarray, bland: bool) -> int:
     return int(candidates[np.argmin(cost[candidates])])
 
 
-def _leaving(t: np.ndarray, basis: np.ndarray, entering: int,
+def _leaving(col: np.ndarray, level: np.ndarray, basis: np.ndarray,
              bland: bool) -> int:
-    col = t[:, entering]
     eligible = np.nonzero(col > _TOL)[0]
     if eligible.size == 0:
         return -1
-    ratios = np.maximum(t[eligible, -1], 0.0) / col[eligible]
+    ratios = np.maximum(level[eligible], 0.0) / col[eligible]
     ties = eligible[ratios <= ratios.min() + _TOL]
     if bland:
         return int(ties[np.argmin(basis[ties])])
@@ -60,35 +59,37 @@ def _leaving(t: np.ndarray, basis: np.ndarray, entering: int,
 
 def solve_lp(c, a, b, start) -> LpResult:
     c = np.asarray(c, dtype=float)
-    a = np.asarray(a, dtype=float)
+    a_t = np.ascontiguousarray(np.asarray(a, dtype=float).T)
     basis = np.array(start, dtype=int)
-    body = np.column_stack([a, np.asarray(b, dtype=float)])
     iterations = degenerate_run = 0
     while True:
+        b_t = a_t[basis]  # B^T, gathered row by row
+        bland = degenerate_run >= _DEGENERATE_STALL
         try:
-            t = np.linalg.solve(a[:, basis], body)
+            duals = np.linalg.solve(b_t, c[basis])
+            cost = c - a_t @ duals
+            cost[basis] = 0.0  # basic columns never enter
+            entering = _entering(cost, bland)
+            # B [x_B | d_e] = [b | a_e]; d_e is unused at the optimum
+            level, col = np.linalg.solve(
+                b_t.T, np.column_stack([b, a_t[entering]])).T
         except np.linalg.LinAlgError as exc:
             where = "simplex" if iterations else "start"
             raise NumericalError(f"singular {where} basis: {exc}")
-        if iterations == 0 and t[:, -1].min() < -_TOL:
+        if iterations == 0 and level.min() < -_TOL:
             raise NumericalError(
-                f"infeasible start basis (basic level {t[:, -1].min():.3e})")
-        cost = np.append(c, 0.0) - c[basis] @ t
-        cost[basis] = 0.0  # basic columns never enter
-        bland = degenerate_run >= _DEGENERATE_STALL
-        entering = _entering(cost[:-1], bland)
+                f"infeasible start basis (basic level {level.min():.3e})")
         if entering < 0:
             break
-        leave = _leaving(t, basis, entering, bland)
+        leave = _leaving(col, level, basis, bland)
         if leave < 0:
             raise NumericalError("LP is unbounded")
-        step = max(t[leave, -1], 0.0) / t[leave, entering]
+        step = max(level[leave], 0.0) / col[leave]
         degenerate_run = degenerate_run + 1 if step <= 1e-12 else 0
         basis[leave] = entering
         iterations += 1
         if iterations > _MAX_PIVOTS:
             raise NumericalError("simplex pivot cap exceeded")
     x = np.zeros(c.size)
-    x[basis] = np.maximum(t[:, -1], 0.0)
-    duals = np.linalg.solve(a[:, basis].T, c[basis])
+    x[basis] = np.maximum(level, 0.0)
     return LpResult(x, float(c @ x), iterations, duals)

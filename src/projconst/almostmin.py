@@ -49,7 +49,10 @@ def eta_of_eps(n: int, eps: float) -> float:
         raise PreconditionError("n must be >= 1")
     if not (math.isfinite(eps) and eps > 0):
         raise PreconditionError("eps must be positive and finite")
-    return min(1.0, (eps / 32.0) ** 2) / math.sqrt(n)
+    eta = min(1.0, (eps / 32.0) ** 2) / math.sqrt(n)
+    if eta == 0.0:
+        raise PreconditionError(f"eps {eps!r} is too small: eta underflows")
+    return eta
 
 
 @dataclass(frozen=True)

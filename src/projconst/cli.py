@@ -34,11 +34,8 @@ _ATTAINED_TOL = 1e-12
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2
         self.print_usage(sys.stderr)
-        raise SystemExit(self._usage_exit(message))
-
-    def _usage_exit(self, message: str) -> int:
         print(f"{self.prog}: error: {message}", file=sys.stderr)
-        return EXIT_USAGE
+        raise SystemExit(EXIT_USAGE)
 
 
 def _emit(obj: dict, out: str | None) -> None:

@@ -222,20 +222,22 @@ class OrthoProjection:
         n = self.n
         if not (0 <= n <= a.shape[0]):
             raise PreconditionError(f"rank {n} out of range for d={a.shape[0]}")
-        sym = 0.5 * (a + a.T)
-        evals = np.linalg.eigvalsh(sym)
-        measures = np.array([
-            np.abs(a - a.T).max(),
-            np.abs(a @ a - a).max(),
-            abs(np.trace(a) - n),
-            max(np.abs(evals - np.round(evals)).max(),
-                np.minimum(np.abs(evals), np.abs(evals - 1.0)).max()),
-        ])
+        with np.errstate(over="ignore", invalid="ignore"):
+            sym = 0.5 * (a + a.T)
+            evals = np.linalg.eigvalsh(sym)
+            measures = np.array([
+                np.abs(a - a.T).max(),
+                np.abs(a @ a - a).max(),
+                abs(np.trace(a) - n),
+                max(np.abs(evals - np.round(evals)).max(),
+                    np.minimum(np.abs(evals), np.abs(evals - 1.0)).max()),
+            ])
         tols = np.array([tol, tol, tol, 10 * tol])
-        ok = measures <= tols  # a non-finite measure fails
+        ok = measures <= tols  # a non-finite measure fails and ranks worst
         if not ok.all():
             with np.errstate(divide="ignore", invalid="ignore"):
-                k = int(np.argmax(np.where(ok, -np.inf, measures / tols)))
+                worst = np.where(ok, -np.inf, measures / tols)
+            k = int(np.argmax(np.nan_to_num(worst, nan=np.inf, posinf=np.inf)))
             raise InvariantViolation(_PROJECTION_CHECKS[k], float(measures[k]),
                                      detail=f"tolerance {tols[k]:g}")
         object.__setattr__(self, "entries", _freeze(sym))

@@ -90,7 +90,7 @@ def dirichlet_approx(weights, k: int, q_cap: int | None = None) -> RationalWeigh
     head = w[:-1]
     target = 1.0 / k
     best_q, best_err = 0, np.inf
-    found_q = 0
+    q = 0
     lo, size = 1, _FIRST_CHUNK
     while lo <= q_cap:
         hi = min(lo + size, q_cap + 1)
@@ -106,15 +106,14 @@ def dirichlet_approx(weights, k: int, q_cap: int | None = None) -> RationalWeigh
         if errs[i] < best_err:
             best_err, best_q = float(errs[i]), int(qs[i])
         if hit.size:
-            found_q = int(qs[hit[0]])
+            q = int(qs[hit[0]])
             break
-    if not found_q:
+    if not q:
         raise ResourceExhausted(
             f"no q <= {q_cap} reaches quality 1/{k} "
             f"(best q={best_q} with error {best_err:.3e})",
             best_q=best_q, best_err=best_err)
 
-    q = found_q
     p_head = [int(x) for x in np.round(q * head)]
     p_last = q - sum(p_head)
     p = tuple(p_head + [p_last])

@@ -27,7 +27,7 @@ from .errors import (InvariantViolation, NumericalError, PreconditionError,
                      WitnessConstraintError, WitnessNormalizationError)
 from .eigsum import kyfan_sum
 from .matcore import (OrthoProjection, SignMatrix, _as_square_array,
-                      _entries_of, _json_array, _json_int, eig_sym)
+                      _entries_of, _freeze, _json_array, _json_int, eig_sym)
 
 _SPACES = ("l1", "linf")
 _ATTAINMENT_TOL = 1e-7
@@ -51,9 +51,7 @@ class SubspaceBasis:
         if smin <= 1e-10:
             raise InvariantViolation("basis linear independence", smin,
                                      detail="smallest singular value")
-        vv = np.ascontiguousarray(v)
-        vv.flags.writeable = False
-        object.__setattr__(self, "V", vv)
+        object.__setattr__(self, "V", _freeze(v))
 
     @property
     def d(self) -> int:

@@ -36,6 +36,12 @@ class TestEta:
         with pytest.raises(PreconditionError):
             eta_of_eps(2, eps)
 
+    @pytest.mark.parametrize("eps", [1e-170, 5e-324])
+    def test_rejects_eps_whose_budget_underflows(self, eps):
+        # (eps/32)^2 is 0 in floating point
+        with pytest.raises(PreconditionError, match=f"eps {eps!r} "):
+            eta_of_eps(2, eps)
+
 
 class TestCertify:
     def test_hexagon_all_equal(self):

@@ -172,6 +172,14 @@ def test_almost_min_rejects_eps_too_small_for_a_finite_k(capsys, eps):
     assert err.startswith("error:") and "finite k" in err
 
 
+def test_almost_min_rejects_eps_whose_budget_underflows(capsys):
+    code, out, err = run_cli(capsys, "almost-min", "--n", "2", "--eps",
+                             "1e-170", "--seed", "hex3")
+    assert code == 1
+    assert out == ""
+    assert err == "error: eps 1e-170 is too small: eta underflows\n"
+
+
 def test_relproj_hexagon(tmp_path, capsys):
     basis_file = tmp_path / "hex.json"
     basis_file.write_text(json.dumps(
@@ -359,6 +367,17 @@ def test_certify_rejects_overflowing_trace(tmp_path, capsys, obj):
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_certify_overflowing_square_reports_idempotence(tmp_path, capsys):
+    # symmetric with trace 0, but P @ P overflows; no RuntimeWarning
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(
+        {"d": 2, "rows": [[1e308, 1e308], [1e308, -1e308]]}))
+    code, out, err = run_cli(capsys, "certify", "--seed", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: invariant violated: idempotence")
 
 
 def test_certify_zero_tol_is_exact(tmp_path, capsys):

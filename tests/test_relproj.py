@@ -45,7 +45,8 @@ def highs_min_projection_norm(v, space):
 def differential_cases():
     """Random subspaces with d <= 8 (every fifth rounded to integers,
     rank-deficient ones skipped), two d = 8, n = 4 draws from the
-    degenerate-pivot tail, and the hexagon and icosahedral ranges."""
+    degenerate-pivot tail, seeded n = d/2 subspaces at d = 10 and 12,
+    and the hexagon and icosahedral ranges."""
     rng = np.random.default_rng(2029)
     cases, k = [], 0
     while len(cases) < 200:
@@ -61,6 +62,11 @@ def differential_cases():
     for gen, space in ((1002, "l1"), (1000, "linf")):
         v = np.random.default_rng(gen).standard_normal((8, 4))
         cases.append(pytest.param(v, space, id=f"tail{gen}-{space}"))
+    for d in (10, 12):
+        v = np.random.default_rng(3000 + d).standard_normal((d, d // 2))
+        for space in ("l1", "linf"):
+            cases.append(pytest.param(v, space,
+                                      id=f"large-{space}-d{d}-n{d // 2}"))
     for name, basis in (("hex3", HEX_BASIS), ("icosa6", icosa_basis())):
         for space in ("l1", "linf"):
             cases.append(pytest.param(basis.V, space, id=f"{name}-{space}"))
