@@ -117,7 +117,8 @@ def _cmd_relproj(args) -> int:
     out = {"space": args.space, "d": basis.d, "n": basis.n,
            "value": res.value, "Q": matrix_to_json(res.Q)["rows"]}
     note = (f"relproj {args.space}: value {res.value!r}, dual bound "
-            f"{res.witness.value!r}, {res.pivots} pivots")
+            f"{res.witness.value!r}, {res.pivots} pivots, "
+            f"{res.refactorizations} refactorizations")
     if args.certify:
         witness = matrix_from_json(_load_json(args.certify))
         cert = relproj.trace_certificate(witness,

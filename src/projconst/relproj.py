@@ -133,13 +133,15 @@ class LpProjection:
 
     ``Q`` is a projection onto E with operator norm ``value``, so
     value >= Pi(E); ``witness`` comes from the LP duals and certifies
-    Tr(AP) = value <= Pi(E).  ``pivots`` counts simplex pivots.
+    Tr(AP) = value <= Pi(E).  ``pivots`` counts simplex pivots and
+    ``refactorizations`` the fresh factorizations of the simplex basis.
     """
 
     value: float
     Q: np.ndarray
     witness: DualityWitness
     pivots: int
+    refactorizations: int
 
 
 def min_projection_norm(basis: SubspaceBasis, space: str) -> LpProjection:
@@ -205,7 +207,8 @@ def min_projection_norm(basis: SubspaceBasis, space: str) -> LpProjection:
         raise NumericalError(
             f"dual bound {witness.value:.12g} does not certify the LP "
             f"value {value:.12g}")
-    return LpProjection(value, q, witness, res.iterations)
+    return LpProjection(value, q, witness, res.iterations,
+                        res.refactorizations)
 
 
 def trace_certificate(a, p, space: str) -> DualityWitness:

@@ -201,11 +201,27 @@ def test_relproj_note_reports_dual_bound_and_pivots(tmp_path, capsys):
     assert code == 0
     value = json.loads(out)["value"]
     match = re.fullmatch(r"relproj l1: value (\S+), dual bound (\S+), "
-                         r"(\d+) pivots\n", err)
+                         r"(\d+) pivots, (\d+) refactorizations\n", err)
     assert match is not None, err
     assert float(match[1]) == value
     assert abs(float(match[2]) - value) <= 1e-9
     assert int(match[3]) > 0
+    assert int(match[4]) >= 1
+
+
+def test_relproj_pivot_cap_is_a_resource_error(tmp_path, capsys,
+                                               monkeypatch):
+    # the hexagon plane takes 2 pivots, so a cap of 0 is blown
+    monkeypatch.setattr("projconst._simplex._MAX_PIVOTS", 0)
+    basis_file = tmp_path / "hex.json"
+    basis_file.write_text(json.dumps(
+        {"d": 3, "n": 2,
+         "columns": [[1.0, 0.0, -1.0], [0.0, 1.0, -1.0]]}))
+    code, out, err = run_cli(capsys, "relproj", "--space", "l1",
+                             "--basis", str(basis_file))
+    assert code == 3
+    assert out == ""
+    assert err == "resource error: simplex pivot cap exceeded\n"
 
 
 def test_relproj_coordinate_line_linf(tmp_path, capsys):

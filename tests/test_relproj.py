@@ -163,6 +163,16 @@ class TestMinProjectionNorm:
         assert abs(witness.value - exact) <= 1e-12
         assert res.pivots > 0
 
+    def test_updated_inverse_across_refactorizations(self):
+        # about 448 pivots, so B is factorized afresh at least six times
+        # on schedule between the start and the optimum
+        v = np.random.default_rng(16).standard_normal((16, 8))
+        res = min_projection_norm(SubspaceBasis(v), "linf")
+        assert res.pivots // 64 >= 6
+        assert res.refactorizations >= 1 + res.pivots // 64
+        assert abs(res.witness.value - res.value) <= 1e-9
+        assert abs(res.value - highs_min_projection_norm(v, "linf")) <= 1e-7
+
     def test_below_orthogonal_projection(self):
         rng = np.random.default_rng(51)
         for _ in range(20):

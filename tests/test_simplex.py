@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from projconst import SubspaceBasis, _simplex, min_projection_norm
 from projconst._simplex import solve_lp
 from projconst.errors import NumericalError
 
@@ -92,24 +95,30 @@ class TestKnownSolutions:
             solve_lp([-1, 0], [[-1, 1]], [0], [1])
 
 
+def random_feasible_problems():
+    """120 draws of equality and inequality rows with a feasible point x0,
+    in the form [[A_eq, 0], [A_ub, I]] x = b, each with the real objective
+    c and a start basis at a vertex that HiGHS finds for a positive
+    objective."""
+    rng = np.random.default_rng(40)
+    for _ in range(120):
+        nv = int(rng.integers(2, 8))
+        me = int(rng.integers(0, 3))
+        mu = int(rng.integers(1, 7))
+        x0 = rng.random(nv)
+        a_eq = rng.standard_normal((me, nv))
+        a_ub = rng.standard_normal((mu, nv))
+        a = np.block([[a_eq, np.zeros((me, mu))], [a_ub, np.eye(mu)]])
+        b = np.concatenate([a_eq @ x0, a_ub @ x0 + rng.random(mu)])
+        c = np.concatenate([rng.standard_normal(nv), np.zeros(mu)])
+        yield c, a, b, vertex_basis(a, b, rng.random(nv + mu))
+
+
 class TestAgainstScipy:
     def test_random_feasible_problems(self):
-        # equality and inequality rows with a feasible point x0, in the
-        # form [[A_eq, 0], [A_ub, I]] x = b, from a vertex that HiGHS finds
-        # for a positive objective, against HiGHS on the real objective
-        rng = np.random.default_rng(40)
+        # against HiGHS on the real objective
         solved = 0
-        for _ in range(120):
-            nv = int(rng.integers(2, 8))
-            me = int(rng.integers(0, 3))
-            mu = int(rng.integers(1, 7))
-            x0 = rng.random(nv)
-            a_eq = rng.standard_normal((me, nv))
-            a_ub = rng.standard_normal((mu, nv))
-            a = np.block([[a_eq, np.zeros((me, mu))], [a_ub, np.eye(mu)]])
-            b = np.concatenate([a_eq @ x0, a_ub @ x0 + rng.random(mu)])
-            c = np.concatenate([rng.standard_normal(nv), np.zeros(mu)])
-            start = vertex_basis(a, b, rng.random(nv + mu))
+        for c, a, b, start in random_feasible_problems():
             ref = linprog(c, A_eq=a, b_eq=b, bounds=(0, None),
                           method="highs")
             if ref.status == 3:
@@ -127,6 +136,65 @@ class TestAgainstScipy:
             solved += 1
         # the other 41 draws of this seed are unbounded
         assert solved == 79
+
+
+def fresh_and_updated(monkeypatch, solve):
+    """``solve()`` with B factorized afresh on every pivot, then with the
+    default rank-one updates of B^-1 between factorizations; an error
+    comes back as its message."""
+    outcomes = []
+    for every in (1, _simplex._REFACTOR_EVERY):
+        with monkeypatch.context() as m:
+            m.setattr(_simplex, "_REFACTOR_EVERY", every)
+            try:
+                outcomes.append(solve())
+            except NumericalError as exc:
+                outcomes.append(str(exc))
+    return outcomes
+
+
+def fresh_at_optimum(pivots):
+    """The fewest factorizations of B that end on a fresh one: the start,
+    then one at the end of each run of up to _REFACTOR_EVERY pivots."""
+    return 1 + math.ceil(pivots / _simplex._REFACTOR_EVERY)
+
+
+class TestUpdatedInverse:
+    # At pivot 6 of the d = 10 linf LP, Dantzig pricing sees several
+    # reduced costs equal to within 4e-15, and the two paths pick
+    # different columns.
+    NEAR_TIES = {(10, "linf")}
+
+    def test_random_feasible_problems(self, monkeypatch):
+        for c, a, b, start in random_feasible_problems():
+            fresh, updated = fresh_and_updated(
+                monkeypatch, lambda: solve_lp(c, a, b, start))
+            if isinstance(fresh, str):
+                assert updated == fresh
+                continue
+            assert updated.iterations == fresh.iterations
+            assert fresh.refactorizations == fresh.iterations + 1
+            assert (updated.refactorizations
+                    >= fresh_at_optimum(updated.iterations))
+            assert abs(updated.value - fresh.value) <= 1e-12
+            assert abs(b @ updated.duals - updated.value) <= 1e-9
+            assert np.min(c - a.T @ updated.duals) >= -1e-9
+
+    @pytest.mark.parametrize("d, space", [(10, "l1"), (10, "linf"),
+                                          (12, "l1"), (12, "linf")])
+    def test_relproj_lps(self, monkeypatch, d, space):
+        # the d = 10 and 12 LPs of test_relproj's differential cases
+        v = np.random.default_rng(3000 + d).standard_normal((d, d // 2))
+        basis = SubspaceBasis(v)
+        fresh, updated = fresh_and_updated(
+            monkeypatch, lambda: min_projection_norm(basis, space))
+        assert abs(updated.value - fresh.value) <= 1e-12
+        assert abs(updated.witness.value - updated.value) <= 1e-9
+        if (d, space) not in self.NEAR_TIES:
+            assert updated.pivots == fresh.pivots
+        assert fresh.refactorizations == fresh.pivots + 1
+        assert (fresh_at_optimum(updated.pivots) <= updated.refactorizations
+                < fresh.refactorizations)
 
 
 class TestFeasibleStart:
