@@ -9,6 +9,7 @@ stay clean.  Exit codes: 0 success, 1 usage/input error, 2 guard refusal,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -39,11 +40,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(obj: dict, out: str | None) -> None:
+    # the file first, so that a failed write leaves stdout empty
     text = json.dumps(obj, indent=2)
-    print(text)
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
+    print(text)
 
 
 def _note(msg: str) -> None:
@@ -176,7 +178,14 @@ def _cmd_dirichlet(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The CLI parser, built on the first call and shared after it.
+
+    Sharing is safe: every ``parse_args`` returns a fresh Namespace, and
+    no action keeps state (no ``append`` lists).  Help and errors go to
+    the ``sys.stdout`` / ``sys.stderr`` current when they are printed.
+    """
     parser = _Parser(prog="projconst",
                      description="projection constants of subspaces of "
                                  "l1^d / linf^d: search, certificates, and "

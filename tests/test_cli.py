@@ -1,13 +1,25 @@
+import argparse
+import contextlib
 import hashlib
+import io
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import projconst
 from projconst.cli import main
 from projconst.matcore import matrix_to_json
 from projconst.seeds import perturbed_hex3
+
+
+HEX3_CERTIFY_DIGEST = ("66352ecd7d0d545262d63613ba9bce01"
+                       "f5c4c837c2b1a12fd67b8587a816461f")
 
 
 def run_cli(capsys, *argv):
@@ -310,8 +322,7 @@ def test_certify_paley_seed(capsys, q):
 
 
 @pytest.mark.parametrize("seed, digest", [
-    ("hex3", "66352ecd7d0d545262d63613ba9bce01"
-             "f5c4c837c2b1a12fd67b8587a816461f"),
+    ("hex3", HEX3_CERTIFY_DIGEST),
     ("icosa6", "a38984f55cd6d34738a8959c6ca9f228"
                "8d57b23cbd54799a65ec40602495d8a1"),
     ("trivial1", "cc01ddf301474b5d6ecd709da1dabb5c"
@@ -323,12 +334,17 @@ def test_certify_named_seed_stdout_pinned(capsys, seed, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def test_certify_tol_is_the_validation_tolerance(tmp_path, capsys):
+def write_hex3_off_by_1e_7(tmp_path):
     p = np.eye(3) - np.ones((3, 3)) / 3
     p[0, 1] += 1e-7
     p[1, 0] += 1e-7
     path = tmp_path / "perturbed.json"
     path.write_text(json.dumps(matrix_to_json(p)))
+    return path
+
+
+def test_certify_tol_is_the_validation_tolerance(tmp_path, capsys):
+    path = write_hex3_off_by_1e_7(tmp_path)
     code, _, err = run_cli(capsys, "certify", "--seed", str(path))
     assert code == 1
     assert "idempotence" in err
@@ -498,6 +514,8 @@ def test_dirichlet_rejects_nan_weight(capsys):
 def test_bad_flags(capsys):
     code, _, _ = run_cli(capsys, "search", "--n", "2")  # missing --d
     assert code == 1
+    code, _, _ = run_cli(capsys)  # no subcommand
+    assert code == 1
     code, _, _ = run_cli(capsys, "nosuchcommand")
     assert code == 1
     # flags are offered only where they are read
@@ -532,6 +550,111 @@ def test_out_file_matches_stdout(tmp_path, capsys):
                            "--out", str(out_file))
     assert code == 0
     assert out_file.read_text().strip() == out.strip()
+
+
+@pytest.mark.parametrize("target", [".", "missing/result.json"])
+def test_unwritable_out_leaves_stdout_empty(tmp_path, capsys, target):
+    # a directory, then a file in a directory that does not exist
+    code, out, err = run_cli(capsys, "certify", "--seed", "hex3",
+                             "--out", str(tmp_path / target))
+    assert code == 1
+    assert out == ""
+    assert "input error: " in err
+
+
+def test_main_builds_its_parser_once(tmp_path, capsys, monkeypatch):
+    run_cli(capsys, "certify", "--seed", "hex3")  # the warm-up call
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    basis = tmp_path / "hex.json"
+    basis.write_text(json.dumps(
+        {"d": 3, "n": 2,
+         "columns": [[1.0, 0.0, -1.0], [0.0, 1.0, -1.0]]}))
+    codes = [run_cli(capsys, *argv)[0] for argv in (
+        ["search", "--n", "2", "--d", "3"],
+        ["certify", "--seed", "hex3"],
+        ["relproj", "--space", "l1", "--basis", str(basis)],
+        ["search", "--n", "2"],
+    )]
+    assert codes == [0, 0, 0, 1]
+    assert built == []
+
+
+def test_import_builds_no_parser():
+    # in a fresh process; the count after build_parser shows it counts
+    script = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting_init(self, *args, **kwargs):\n"
+        "    built.append(1)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting_init\n"
+        "import projconst.cli\n"
+        "print(len(built))\n"
+        "projconst.cli.build_parser()\n"
+        "print(len(built))\n")
+    src = str(Path(projconst.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", script], check=True,
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout == "0\n8\n"  # the parser and its 7 subparsers
+
+
+def test_shared_parser_after_usage_error(capsys):
+    code, out, _ = run_cli(capsys, "certify", "--seed", "hex3", "--nosuch")
+    assert (code, out) == (1, "")
+    code, out, _ = run_cli(capsys, "certify", "--seed", "hex3")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == HEX3_CERTIFY_DIGEST
+
+
+def test_shared_parser_resets_search_mode(capsys):
+    code, _, err = run_cli(capsys, "search", "--n", "2", "--d", "3",
+                           "--alternating")
+    assert code == 0 and "(alternating)" in err
+    code, _, err = run_cli(capsys, "search", "--n", "2", "--d", "3")
+    assert code == 0 and "(exhaustive)" in err
+
+
+def test_shared_parser_resets_out(tmp_path, capsys):
+    out_file = tmp_path / "result.json"
+    code, out, _ = run_cli(capsys, "search", "--n", "2", "--d", "3",
+                           "--out", str(out_file))
+    assert code == 0
+    code, _, _ = run_cli(capsys, "search", "--n", "2", "--d", "4")
+    assert code == 0
+    assert out_file.read_text() == out
+
+
+def test_shared_parser_resets_tol(tmp_path, capsys):
+    path = str(write_hex3_off_by_1e_7(tmp_path))
+    code, _, _ = run_cli(capsys, "certify", "--seed", path, "--tol", "1e-6")
+    assert code == 0
+    code, out, err = run_cli(capsys, "certify", "--seed", path)
+    assert (code, out) == (1, "")
+    assert "idempotence" in err
+
+
+@pytest.mark.parametrize("command", [
+    [], ["search"], ["almost-min"], ["relproj"], ["certify"], ["eigsum"],
+    ["blowup"], ["dirichlet"],
+])
+def test_help_goes_to_the_current_stdout(command):
+    # twice, so the second call prints from the parser the first one built
+    for _ in range(2):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main([*command, "--help"])
+        assert code == 0
+        assert out.getvalue().startswith(
+            " ".join(["usage: projconst", *command]) + " ")
 
 
 def test_byte_identical_reruns(capsys):
