@@ -20,8 +20,7 @@ m x m rank-n projection Pi = U U^t of the weighted problem.  The
 certificate and the sign refinement are read off Pi and p by the
 identities in the ``blowup`` module docstring, in O(m^3) and with O(1)
 thresholds whatever d is.  Dense d x d matrices are built only on
-request (``PipelineResult.P`` and ``.S``) and in the one case where the
-Ky Fan maximizer is not block-constant, all behind the d <= 4096 cap of
+request (``PipelineResult.P`` and ``.S``), behind the d <= 4096 cap of
 ``blowup``.
 """
 
@@ -33,10 +32,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .blowup import BlockProjection, BlowupSpec, blow_up, weighted_equivalent
+from .blowup import BlockProjection, BlowupSpec, blow_up
 from .errors import PreconditionError, WitnessConstraintError
-from .matcore import (OrthoProjection, SignMatrix, _kyfan, _perron_weights,
-                      matrix_to_json, perron, sign_matrix_of)
+from .matcore import (SIGN_ZERO_TOL, OrthoProjection, SignMatrix, _kyfan,
+                      _perron_weights, _signs, matrix_to_json, perron,
+                      sign_matrix_of)
 from .rationalize import choose_k, dirichlet_approx
 from .relproj import trace_certificate
 
@@ -176,21 +176,23 @@ def certify(p: OrthoProjection | BlockProjection) -> Certificate:
     return Certificate(rho, r, big_r, big_r, lower, big_r - r, gap_min, kind)
 
 
-def _kyfan_blocks(spec: BlowupSpec,
-                  n: int) -> tuple[BlowupSpec, BlockProjection]:
-    """Rank-n Ky Fan maximizer of blow_up(spec) as the blow-up of the
-    projection onto the top-n eigenvectors of weighted_equivalent(spec).
+def _lift(s: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
+    """The core Pi of the rank-n Ky Fan maximizer of the blow-up of the
+    m x m sign matrix ``s`` with multiplicities proportional to the
+    positive ``weights``: the projector onto the top-n eigenvectors of
+    sqrt(w) s sqrt(w).
 
-    When those n eigenvalues are not all positive the blow-up kernel
-    enters the maximizer, which is then not block-constant: the dense
-    maximizer is taken instead, behind the dense cap of blow_up, and both
-    the sign matrix and the projection are returned as their own blow-ups
-    with all multiplicities 1."""
-    w, core = _kyfan(weighted_equivalent(spec).entries, n)
+    Its blow-up is the maximizer only when the n-th of those eigenvalues
+    is positive.  By Sylvester's law of inertia that holds for all
+    positive weights at once exactly when ``s`` has n positive
+    eigenvalues, so no choice of multiplicities can help otherwise."""
+    sq = np.sqrt(weights)
+    w, core = _kyfan(s * sq[:, None] * sq[None, :], n)
     if w[n - 1] <= 0:
-        spec = BlowupSpec(blow_up(spec), (1,) * spec.d)
-        _, core = _kyfan(spec.base.entries, n)
-    return spec, BlockProjection(OrthoProjection(core, n), spec.multiplicities)
+        raise PreconditionError(
+            f"the sign matrix has fewer than n={n} positive eigenvalues, so "
+            f"the Ky Fan maximizer of its blow-up is not block-constant")
+    return core
 
 
 def almost_minimal(n: int, eps: float, seed: OrthoProjection) -> PipelineResult:
@@ -203,7 +205,8 @@ def almost_minimal(n: int, eps: float, seed: OrthoProjection) -> PipelineResult:
     maximizer of the blow-up (lifted from the small weighted problem),
     sign fixed-point refinement, certificate, all in block form.
     Oscillating refinements are reported with converged=False and the
-    last iterate.
+    last iterate.  A seed whose Sgn has fewer than n positive
+    eigenvalues raises PreconditionError before the Dirichlet step.
 
     ``converged`` means only that the sign refinement reached a fixed
     point.  The certificate gaps shrink with eps only when ``seed`` is a
@@ -221,26 +224,26 @@ def almost_minimal(n: int, eps: float, seed: OrthoProjection) -> PipelineResult:
             f"seed has rank {seed.n}, expected n={n}")
     m = seed.d
     weights = _perron_weights(seed.abs_entries()[None])[0]
-    signs = sign_matrix_of(seed)
-    sq = np.sqrt(weights)
-    _, q = _kyfan(signs.entries * np.outer(sq, sq), n)
-    seed_gap = float(np.abs(q - seed.entries).max())
+    s = sign_matrix_of(seed).entries
+    seed_gap = float(np.abs(_lift(s, weights, n) - seed.entries).max())
     eps0 = float(weights.min())
     k = choose_k(n, m, eta, eps0)
     rational = dirichlet_approx(weights, k)
 
     # Sgn of a block-constant P is the blow-up of Sgn of its core with the
-    # same multiplicities, so the refinement stays in block form.
-    spec, p = _kyfan_blocks(BlowupSpec(signs, rational.p), n)
+    # same multiplicities, so the refinement runs on m x m arrays.
+    sizes = np.asarray(rational.p, dtype=float)
+    block_weights = sizes / sizes.sum()
+    core = _lift(s, block_weights, n)
     converged = False
-    iterations = 0
     for iterations in range(1, _MAX_REFINE + 1):
-        s_next = p.signs()
-        if np.array_equal(s_next.base.entries, spec.base.entries):
+        s_next = _signs(core, SIGN_ZERO_TOL)
+        if np.array_equal(s_next, s):
             converged = True
             break
-        spec, p = _kyfan_blocks(s_next, n)
+        s, core = s_next, _lift(s_next, block_weights, n)
 
-    cert = certify(p)
-    return PipelineResult(p, spec, cert, eta, eps, converged, iterations,
-                          seed_gap)
+    blocks = BlockProjection(OrthoProjection(core, n), rational.p)
+    spec = BlowupSpec(SignMatrix(s), rational.p)
+    return PipelineResult(blocks, spec, certify(blocks), eta, eps, converged,
+                          iterations, seed_gap)

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError, ResourceExhausted
-from .matcore import OrthoProjection, SignMatrix, SymMatrix, sign_matrix_of
+from .matcore import OrthoProjection, SignMatrix, SymMatrix
 
 _DENSE_SIZE_LIMIT = 4096
 
@@ -151,11 +151,6 @@ class BlockProjection:
     def sizes(self) -> np.ndarray:
         """The multiplicities as floats, the diagonal of D = W^2."""
         return np.asarray(self.multiplicities, dtype=float)
-
-    def signs(self) -> BlowupSpec:
-        """Sgn(P) as the blow-up of Sgn(Pi) with the same
-        multiplicities."""
-        return BlowupSpec(sign_matrix_of(self.core), self.multiplicities)
 
     def dense(self) -> OrthoProjection:
         """The d x d projection P, validated; O(d^2) memory and O(d^3)

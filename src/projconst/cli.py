@@ -39,15 +39,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _emit(obj: dict, out: str | None) -> None:
-    # the file first, so that a failed write leaves stdout empty
-    text = json.dumps(obj, indent=2)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
-    print(text)
-
-
 def _note(msg: str) -> None:
     print(msg, file=sys.stderr)
 
@@ -83,7 +74,10 @@ def _add_validation_tol(sub: argparse.ArgumentParser) -> None:
                      help="projection validation tolerance (default 1e-9)")
 
 
-def _cmd_search(args) -> int:
+# Each _cmd_* returns its JSON result and its stderr summary for main to
+# write.
+
+def _cmd_search(args) -> tuple[dict, str]:
     if args.exhaustive:
         result = search.exhaustive_pi(args.n, args.d, restarts=args.restarts)
         mode = "exhaustive"
@@ -93,27 +87,25 @@ def _cmd_search(args) -> int:
     bound = search.etf_bound(args.n, args.d)
     status = ("attained" if abs(result.value - bound) <= _ATTAINED_TOL
               else "lower bound")
-    _note(f"search n={args.n} d={args.d} ({mode}): value {result.value!r} "
-          f"({status}), bound {bound!r}, "
-          f"converged={result.converged}; {result.runs} ascent runs, "
-          f"{result.ascent_iterations} iterations, "
-          f"{result.nonconverged} not converged")
-    _emit(result.to_json(), args.out)
-    return EXIT_OK
+    return result.to_json(), (
+        f"search n={args.n} d={args.d} ({mode}): value {result.value!r} "
+        f"({status}), bound {bound!r}, "
+        f"converged={result.converged}; {result.runs} ascent runs, "
+        f"{result.ascent_iterations} iterations, "
+        f"{result.nonconverged} not converged")
 
 
-def _cmd_almost_min(args) -> int:
+def _cmd_almost_min(args) -> tuple[dict, str]:
     seed = _load_projection(args.seed, args.tol)
     result = almostmin.almost_minimal(args.n, args.eps, seed)
-    _note(f"almost-min n={args.n} eps={args.eps}: d={result.d}, "
-          f"rho={result.cert.rho!r}, gap_rows={result.cert.gap_rows!r}, "
-          f"seed_gap={result.seed_gap!r}, converged={result.converged}, "
-          f"witness={result.cert.witness_kind}")
-    _emit(result.to_json(include_matrices=args.matrices), args.out)
-    return EXIT_OK
+    return result.to_json(include_matrices=args.matrices), (
+        f"almost-min n={args.n} eps={args.eps}: d={result.d}, "
+        f"rho={result.cert.rho!r}, gap_rows={result.cert.gap_rows!r}, "
+        f"seed_gap={result.seed_gap!r}, converged={result.converged}, "
+        f"witness={result.cert.witness_kind}")
 
 
-def _cmd_relproj(args) -> int:
+def _cmd_relproj(args) -> tuple[dict, str]:
     basis = relproj.SubspaceBasis.from_json(_load_json(args.basis))
     res = relproj.min_projection_norm(basis, args.space)
     out = {"space": args.space, "d": basis.d, "n": basis.n,
@@ -128,32 +120,27 @@ def _cmd_relproj(args) -> int:
                                          args.space)
         out["witness_value"] = cert.value
         note += f", witness {cert.value!r}"
-    _note(note)
-    _emit(out, args.out)
-    return EXIT_OK
+    return out, note
 
 
-def _cmd_certify(args) -> int:
+def _cmd_certify(args) -> tuple[dict, str]:
     p = _load_projection(args.seed, args.tol)
     cert = almostmin.certify(p)
-    _note(f"certify d={p.d} n={p.n}: rho={cert.rho!r}, "
-          f"gap_rows={cert.gap_rows!r}, witness={cert.witness_kind}")
-    _emit(cert.to_json(), args.out)
-    return EXIT_OK
+    return cert.to_json(), (f"certify d={p.d} n={p.n}: rho={cert.rho!r}, "
+                            f"gap_rows={cert.gap_rows!r}, "
+                            f"witness={cert.witness_kind}")
 
 
-def _cmd_eigsum(args) -> int:
+def _cmd_eigsum(args) -> tuple[dict, str]:
     mat = matrix_from_json(_load_json(args.matrix))
     sel = cucc_selection(mat, args.n)
     value = -np.inf if sel is None else sel.value
     out = {"n": args.n, "value": value,
            "indices": None if sel is None else list(sel.indices)}
-    _note(f"eigsum n={args.n}: value {value!r}")
-    _emit(out, args.out)
-    return EXIT_OK
+    return out, f"eigsum n={args.n}: value {value!r}"
 
 
-def _cmd_blowup(args) -> int:
+def _cmd_blowup(args) -> tuple[dict, str]:
     base_arr = matrix_from_json(_load_json(args.base))
     base = sign_matrix_of(base_arr, args.tol)
     mult = tuple(int(x) for x in args.multiplicities.split(","))
@@ -163,19 +150,15 @@ def _cmd_blowup(args) -> int:
     out = {"d": spec.d, "multiplicities": list(mult),
            "S": matrix_to_json(big)["rows"],
            "weighted": matrix_to_json(weighted)["rows"]}
-    _note(f"blowup m={spec.m} -> d={spec.d}")
-    _emit(out, args.out)
-    return EXIT_OK
+    return out, f"blowup m={spec.m} -> d={spec.d}"
 
 
-def _cmd_dirichlet(args) -> int:
+def _cmd_dirichlet(args) -> tuple[dict, str]:
     weights = [float(x) for x in args.weights.split(",")]
     result = rationalize.dirichlet_approx(weights, args.k, q_cap=args.q_cap)
     out = {"p": list(result.p), "q": result.q, "k": result.k,
            "max_err": result.max_err, "total_err": result.total_err}
-    _note(f"dirichlet k={args.k}: q={result.q}, p={list(result.p)}")
-    _emit(out, args.out)
-    return EXIT_OK
+    return out, f"dirichlet k={args.k}: q={result.q}, p={list(result.p)}"
 
 
 @functools.cache
@@ -271,7 +254,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        obj, note = args.func(args)
+        text = json.dumps(obj, indent=2)
+        # the file first, so that a failed write prints nothing else
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
     except GuardRefusal as exc:
         _note(f"refused: {exc}")
         return EXIT_GUARD
@@ -284,6 +272,9 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         _note(f"input error: {exc}")
         return EXIT_USAGE
+    print(text)
+    _note(note)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

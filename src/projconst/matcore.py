@@ -74,12 +74,13 @@ def _eigh_descending(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def _perron_vectors(a: np.ndarray, rho: np.ndarray,
-                    v: np.ndarray) -> np.ndarray:
-    """Turn the eigenpairs (rho, v) of the strictly positive (B, d, d)
-    stack ``a`` into Perron vectors: flip each v to a positive sum, repair
-    entries that are not positive, normalize, and check the residual and
-    strict positivity."""
+def _perron_pairs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Perron pairs of the strictly positive, symmetric (B, d, d) stack
+    ``a`` from its full spectra, at every d: the top eigenvector of each,
+    flipped to a positive sum, entries that are not positive repaired,
+    normalized, and checked for residual and strict positivity."""
+    w, vs = _eigh_descending(a)
+    rho, v = w[:, 0], vs[..., 0]
     v = np.where(v.sum(axis=-1, keepdims=True) < 0, -v, v)
     # One application of the positive matrix makes any nonnegative
     # nonzero eigenvector strictly positive without changing it.
@@ -95,14 +96,7 @@ def _perron_vectors(a: np.ndarray, rho: np.ndarray,
             f"Perron residual {residual[failed[0]]:.3e} exceeds 1e-10")
     if np.any(v <= 0):
         raise NumericalError("Perron vector is not strictly positive")
-    return v
-
-
-def _perron_pairs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Perron pairs of the strictly positive, symmetric (B, d, d) stack
-    ``a`` from its full spectra, at every d."""
-    w, vs = _eigh_descending(a)
-    return w[:, 0], _perron_vectors(a, w[:, 0], vs[..., 0])
+    return rho, v
 
 
 def _kyfan(m: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -305,21 +299,14 @@ def eig_sym(a) -> Spectrum:
 
 def perron(m) -> tuple[float, np.ndarray]:
     """Perron pair (spectral radius, positive unit eigenvector) of a
-    strictly positive matrix.
-
-    Uses the full spectrum at every d: ``eigh`` for symmetric input,
-    ``eig`` (the eigenvalue of largest real part) otherwise.
-    """
+    strictly positive, exactly symmetric matrix, from its full spectrum
+    at every d."""
     a = _as_square_array(_entries_of(m), "perron input")
     if not np.all(a > 0):
         raise PreconditionError("perron requires a strictly positive matrix")
     if not np.array_equal(a, a.T):
-        w, vs = np.linalg.eig(a)
-        i = int(np.argmax(w.real))
-        rho = w[i:i + 1].real
-        v = _perron_vectors(a[None], rho, vs[None, :, i].real)
-    else:
-        rho, v = _perron_pairs(a[None])
+        raise PreconditionError("perron requires a symmetric matrix")
+    rho, v = _perron_pairs(a[None])
     return float(rho[0]), _freeze(v[0])
 
 

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from projconst import (BlockProjection, BlowupSpec, PreconditionError,
-                       ResourceExhausted, SignMatrix, WitnessConstraintError,
-                       almost_minimal, blow_up, certify, choose_k,
-                       dirichlet_approx, eig_sym, eta_of_eps, exhaustive_pi,
-                       kyfan_sum, perron, sign_matrix_of, trace_certificate,
-                       validate_projection, weighted_equivalent)
-from projconst.almostmin import _kyfan_blocks
+from projconst import (BlockProjection, BlowupSpec, OrthoProjection,
+                       PreconditionError, ResourceExhausted, SignMatrix,
+                       WitnessConstraintError, almost_minimal, almostmin,
+                       blow_up, certify, choose_k, dirichlet_approx, eig_sym,
+                       eta_of_eps, exhaustive_pi, kyfan_sum, perron,
+                       sign_matrix_of, trace_certificate, validate_projection,
+                       weighted_equivalent)
+from projconst.almostmin import _lift
 from projconst.seeds import get_seed, paley, perturbed_hex3
 
 PHI = (1 + np.sqrt(5)) / 2
@@ -89,6 +90,31 @@ class TestCertify:
                 assert cert.lower_bound <= cert.op_norm_l1 + 1e-9
 
 
+def lift(spec, n):
+    """The block form of the rank-n Ky Fan maximizer of blow_up(spec);
+    PreconditionError when it is not block-constant."""
+    p = np.asarray(spec.multiplicities, dtype=float)
+    core = _lift(spec.base.entries, p / p.sum(), n)
+    return BlockProjection(validate_projection(core, n), spec.multiplicities)
+
+
+def inertia_deficient_seed():
+    """A rank-6 projection on R^9 with positive |P| whose Sgn(P) has only
+    five positive eigenvalues (the sixth is -0.2043)."""
+    rng = np.random.default_rng(0)
+    for _ in range(66):
+        q = np.linalg.qr(rng.standard_normal((9, 6)))[0]
+    return validate_projection(q @ q.T, 6)
+
+
+def circulant_projection(m, modes):
+    """The real circulant projection of R^m onto the Fourier modes
+    ``modes`` (closed under k -> m - k)."""
+    j = np.arange(m)
+    c = sum(np.cos(2 * np.pi * k * j / m) for k in modes) / m
+    return validate_projection(c[(j[:, None] - j[None, :]) % m], len(modes))
+
+
 def pipeline_spec(seed, n, eps, q_cap=None):
     """The blow-up that almost_minimal builds from ``seed``."""
     _, v = perron(seed.abs_entries())
@@ -120,8 +146,8 @@ class TestLifting:
         # the top-n eigenspace is unique, so both projectors must agree
         assert dense.eigenvalues[n - 1] - dense.eigenvalues[n] > 1e-9
         v = dense.eigenvectors[:, :n]
-        out_spec, p = _kyfan_blocks(spec, n)
-        assert out_spec is spec and p.d == d
+        p = lift(spec, n)
+        assert p.d == d
         assert np.abs(v @ v.T - p.dense().entries).max() <= 1e-8
 
 
@@ -177,6 +203,31 @@ class TestPipeline:
     def test_named_seeds_are_perron_weighted_maximizers(self, name):
         seed = get_seed(name)
         assert almost_minimal(seed.n, 0.1, seed).seed_gap <= 1e-12
+
+    def test_rejects_seed_whose_signs_lack_n_positive_eigenvalues(self):
+        seed = inertia_deficient_seed()
+        assert seed.abs_is_positive()
+        evals = eig_sym(sign_matrix_of(seed)).eigenvalues
+        assert abs(evals[5] - (-0.2043)) <= 1e-4
+        with pytest.raises(PreconditionError,
+                           match="fewer than n=6 positive eigenvalues"):
+            almost_minimal(6, 32.0, seed)
+
+    def test_refinement_validates_only_its_result(self, monkeypatch):
+        # the first lift of this circulant seed changes its signs, so the
+        # refinement takes two steps on m x m arrays
+        built = []
+
+        class Counted(OrthoProjection):
+            def __post_init__(self, tol):
+                built.append(self.d)
+                super().__post_init__(tol)
+
+        monkeypatch.setattr(almostmin, "OrthoProjection", Counted)
+        res = almost_minimal(3, 32.0, circulant_projection(8, (0, 1, 7)))
+        assert (res.d, res.iterations, res.converged) == (8, 2, True)
+        assert built == [8]
+        assert isinstance(res.blocks.core, Counted)
 
     def test_seed_gap_flags_a_seed_off_the_premise(self):
         # the Ky Fan maximizer for random weights, not for the Perron
@@ -262,15 +313,19 @@ class TestBlockForm:
             base = SignMatrix(upper + upper.T + np.eye(m))
             mult = tuple(int(x) for x in rng.integers(1, 5, m))
             n = int(rng.integers(1, m + 1))
-            spec, p = _kyfan_blocks(BlowupSpec(base, mult), n)
-            if spec.multiplicities != mult:
-                continue  # dense fallback: not a block-constant lift
+            try:
+                p = lift(BlowupSpec(base, mult), n)
+            except PreconditionError:
+                # Sylvester's law of inertia: no weights give n positive
+                # eigenvalues to a pattern without them
+                assert np.linalg.eigvalsh(base.entries)[-n] <= 1e-12
+                continue
             lifted = sign_matrix_of(p.dense())
             beta = p.core.entries / np.sqrt(np.outer(mult, mult))
             block_signs = BlowupSpec(sign_matrix_of(beta), mult)
             assert np.array_equal(lifted.entries,
                                   blow_up(block_signs).entries)
-            assert np.array_equal(p.signs().base.entries,
+            assert np.array_equal(sign_matrix_of(p.core).entries,
                                   block_signs.base.entries)
             if np.array_equal(block_signs.base.entries, base.entries):
                 fixed += 1
@@ -294,7 +349,10 @@ class TestBlockForm:
                                          mult))
             upper = np.triu(2.0 * rng.integers(0, 2, size=(m, m)) - 1.0, 1)
             spec = BlowupSpec(SignMatrix(upper + upper.T + np.eye(m)), mult)
-            cases.append(_kyfan_blocks(spec, n)[1])
+            try:
+                cases.append(lift(spec, n))
+            except PreconditionError:
+                pass  # fewer than n positive eigenvalues: no lift
         kinds = set()
         for blocks in cases:
             cert, dense = certify(blocks), certify(blocks.dense())
@@ -303,15 +361,18 @@ class TestBlockForm:
             kinds.add(cert.witness_kind)
         assert kinds == {"perron", "uniform", None}
 
-    def test_dense_fallback_when_kernel_enters(self):
-        # the all-plus pattern has weighted spectrum (1, 0): at n = 2 the
-        # maximizer takes a vector of the blow-up kernel
-        spec = BlowupSpec(SignMatrix(np.ones((2, 2))), (2, 3))
-        out_spec, p = _kyfan_blocks(spec, 2)
-        assert out_spec.multiplicities == p.multiplicities == (1,) * 5
-        assert np.array_equal(out_spec.base.entries, np.ones((5, 5)))
-        _, dense = kyfan_sum(np.ones((5, 5)), 2)
-        assert np.array_equal(p.core.entries, dense.entries)
+    def test_lift_needs_n_positive_eigenvalues(self):
+        # the all-plus pattern has weighted spectrum (1, 0) for any
+        # weights: at n = 2 the maximizer of every blow-up would take a
+        # vector of its kernel, so the lift refuses whatever d is
+        for p in ((2, 3), (2049, 2048)):
+            w = np.asarray(p, dtype=float) / sum(p)
+            with pytest.raises(PreconditionError,
+                               match="fewer than n=2 positive eigenvalues"):
+                _lift(np.ones((2, 2)), w, 2)
+            sq = np.sqrt(w)
+            assert np.abs(_lift(np.ones((2, 2)), w, 1)
+                          - np.outer(sq, sq)).max() <= 1e-15
 
     def test_core_is_kyfan_sum_of_the_weighted_problem(self):
         rng = np.random.default_rng(72)
@@ -326,9 +387,10 @@ class TestBlockForm:
                                      mult), int(rng.integers(1, m + 1))))
         block_form = 0
         for spec, n in cases:
-            out_spec, p = _kyfan_blocks(spec, n)
-            if out_spec is not spec:
-                continue  # dense fallback
+            try:
+                p = lift(spec, n)
+            except PreconditionError:
+                continue  # fewer than n positive eigenvalues: no lift
             _, core = kyfan_sum(weighted_equivalent(spec), n)
             assert np.array_equal(p.core.entries, core.entries)
             block_form += 1
@@ -339,8 +401,7 @@ class TestBlockForm:
         """(core, p, expected witness kind) for hex3, icosa6 and the Ky
         Fan core of the Pi(3, 5) maximizer blown up by (3, 5, 2, 4, 7)."""
         mult = (3, 5, 2, 4, 7)
-        spec, p = _kyfan_blocks(BlowupSpec(exhaustive_pi(3, 5).S, mult), 3)
-        assert spec.multiplicities == mult
+        p = lift(BlowupSpec(exhaustive_pi(3, 5).S, mult), 3)
         return [(get_seed("hex3"), (1,) * 3, "perron"),
                 (get_seed("icosa6"), (1,) * 6, "perron"),
                 (p.core, mult, "uniform")]
@@ -368,11 +429,6 @@ class TestBlockForm:
                 alpha /= (blocks.sizes * np.abs(alpha).max(axis=1)).sum()
                 with pytest.raises(WitnessConstraintError):
                     trace_certificate(alpha, blocks, "l1")
-
-    def test_dense_fallback_is_guarded(self):
-        spec = BlowupSpec(SignMatrix(np.ones((2, 2))), (2049, 2048))
-        with pytest.raises(ResourceExhausted, match="4097"):
-            _kyfan_blocks(spec, 2)
 
     def test_dense_output_is_guarded(self):
         res = almost_minimal(2, 16.0, perturbed_hex3(np.random.default_rng(3)))

@@ -192,6 +192,23 @@ def test_almost_min_rejects_eps_whose_budget_underflows(capsys):
     assert err == "error: eps 1e-170 is too small: eta underflows\n"
 
 
+def test_almost_min_rejects_seed_whose_signs_lack_n_positive_eigenvalues(
+        tmp_path, capsys):
+    # |P| > 0, but Sgn(P) has five positive eigenvalues at rank 6: no
+    # choice of multiplicities gives a block-constant Ky Fan maximizer,
+    # so the pipeline stops before the Dirichlet scan
+    rng = np.random.default_rng(0)
+    for _ in range(66):
+        q = np.linalg.qr(rng.standard_normal((9, 6)))[0]
+    path = tmp_path / "seed.json"
+    path.write_text(json.dumps(matrix_to_json(q @ q.T)))
+    code, out, err = run_cli(capsys, "almost-min", "--n", "6", "--eps", "32",
+                             "--seed", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ")
+    assert "fewer than n=6 positive eigenvalues" in err
+
+
 def test_relproj_hexagon(tmp_path, capsys):
     basis_file = tmp_path / "hex.json"
     basis_file.write_text(json.dumps(
@@ -560,6 +577,20 @@ def test_unwritable_out_leaves_stdout_empty(tmp_path, capsys, target):
     assert code == 1
     assert out == ""
     assert "input error: " in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--seed", "hex3"],
+    ["search", "--n", "2", "--d", "3"],
+    ["almost-min", "--n", "2", "--eps", "8", "--seed", "hex3"],
+    ["dirichlet", "--weights", "0.5,0.5", "--k", "4"],
+], ids=lambda argv: argv[0])
+def test_failed_out_prints_only_the_input_error(tmp_path, capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--out",
+                             str(tmp_path / "missing" / "x.json"))
+    assert (code, out) == (1, "")
+    assert err.startswith("input error: [Errno 2] ")
+    assert err.count("\n") == 1  # no success note before the error
 
 
 def test_main_builds_its_parser_once(tmp_path, capsys, monkeypatch):

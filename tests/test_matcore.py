@@ -115,6 +115,9 @@ class TestPerron:
         rng = np.random.default_rng(11)
         for d in (3, 8, 20):
             m = rng.random((d, d)) + 0.1
+            with pytest.raises(PreconditionError, match="symmetric"):
+                perron(m)
+            m = 0.5 * (m + m.T)
             rho, v = perron(m)
             assert np.linalg.norm(m @ v - rho * v) <= 1e-10
             assert np.all(v > 0)
