@@ -361,18 +361,34 @@ class TestBlockForm:
             kinds.add(cert.witness_kind)
         assert kinds == {"perron", "uniform", None}
 
-    def test_lift_needs_n_positive_eigenvalues(self):
+    def test_dense_fallback_when_kernel_enters(self):
         # the all-plus pattern has weighted spectrum (1, 0) for any
-        # weights: at n = 2 the maximizer of every blow-up would take a
-        # vector of its kernel, so the lift refuses whatever d is
-        for p in ((2, 3), (2049, 2048)):
-            w = np.asarray(p, dtype=float) / sum(p)
-            with pytest.raises(PreconditionError,
-                               match="fewer than n=2 positive eigenvalues"):
-                _lift(np.ones((2, 2)), w, 2)
-            sq = np.sqrt(w)
-            assert np.abs(_lift(np.ones((2, 2)), w, 1)
-                          - np.outer(sq, sq)).max() <= 1e-15
+        # weights: at n = 2 the maximizer of the blow-up would take a
+        # vector of its kernel and not be block-constant, so the lift
+        # refuses it instead of falling back to a dense maximizer
+        w = np.array([2.0, 3.0]) / 5
+        with pytest.raises(PreconditionError,
+                           match="fewer than n=2 positive eigenvalues"):
+            _lift(np.ones((2, 2)), w, 2)
+        with pytest.raises(PreconditionError,
+                           match="fewer than n=2 positive eigenvalues"):
+            lift(BlowupSpec(SignMatrix(np.ones((2, 2))), (2, 3)), 2)
+        sq = np.sqrt(w)
+        assert np.abs(_lift(np.ones((2, 2)), w, 1)
+                      - np.outer(sq, sq)).max() <= 1e-15
+
+    def test_dense_fallback_is_guarded(self):
+        # at d = 4097 the lift works on the 2 x 2 pattern alone: it
+        # refuses n = 2 and lifts n = 1 without a d x d matrix
+        spec = BlowupSpec(SignMatrix(np.ones((2, 2))), (2049, 2048))
+        with pytest.raises(PreconditionError,
+                           match="fewer than n=2 positive eigenvalues"):
+            lift(spec, 2)
+        p = lift(spec, 1)
+        assert p.d == 4097 and p.core.entries.shape == (2, 2)
+        w = np.array([2049.0, 2048.0]) / 4097
+        assert np.abs(p.core.entries
+                      - np.outer(np.sqrt(w), np.sqrt(w))).max() <= 1e-15
 
     def test_core_is_kyfan_sum_of_the_weighted_problem(self):
         rng = np.random.default_rng(72)
