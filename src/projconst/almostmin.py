@@ -41,6 +41,12 @@ from .rationalize import choose_k, dirichlet_approx
 from .relproj import trace_certificate
 
 _MAX_REFINE = 64
+# Half-width of the band around 0 in which _lift counts the positive
+# eigenvalues of the sign matrix exactly.  _lift's weights sum to 1, so
+# sqrt(w) s sqrt(w) has Frobenius norm 1 and eigh's rounding error, a
+# small multiple of m * 2.2e-16, stays far inside the band for any m a
+# dense seed can have.
+_INERTIA_BAND = 1e-9
 
 
 def eta_of_eps(n: int, eps: float) -> float:
@@ -176,19 +182,40 @@ def certify(p: OrthoProjection | BlockProjection) -> Certificate:
     return Certificate(rho, r, big_r, big_r, lower, big_r - r, gap_min, kind)
 
 
+def _positive_eigenvalues(s: np.ndarray) -> int:
+    """The number of positive eigenvalues of the symmetric integer matrix
+    ``s``, exactly: the coefficients of its characteristic polynomial in
+    Python ints (Faddeev-LeVerrier, whose divisions are exact), and their
+    sign changes, which Descartes' rule counts exactly as positive roots
+    because every root is real."""
+    a = s.astype(np.int64).astype(object)
+    eye = np.identity(len(a), dtype=np.int64).astype(object)
+    coeffs, m = [1], 0 * eye
+    for k in range(1, len(a) + 1):
+        m = a @ m + coeffs[-1] * eye
+        coeffs.append(-np.trace(a @ m) // k)
+    signs = [c > 0 for c in coeffs if c != 0]
+    return sum(x != y for x, y in zip(signs, signs[1:]))
+
+
 def _lift(s: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
     """The core Pi of the rank-n Ky Fan maximizer of the blow-up of the
     m x m sign matrix ``s`` with multiplicities proportional to the
-    positive ``weights``: the projector onto the top-n eigenvectors of
-    sqrt(w) s sqrt(w).
+    positive ``weights`` (summing to 1): the projector onto the top-n
+    eigenvectors of sqrt(w) s sqrt(w).
 
     Its blow-up is the maximizer only when the n-th of those eigenvalues
     is positive.  By Sylvester's law of inertia that holds for all
     positive weights at once exactly when ``s`` has n positive
-    eigenvalues, so no choice of multiplicities can help otherwise."""
+    eigenvalues, so no choice of multiplicities can help otherwise.
+    Outside [-_INERTIA_BAND, _INERTIA_BAND] the sign of the computed n-th
+    eigenvalue decides; inside it, the exact count for ``s`` does, so
+    two seeds whose signs are permutations of each other are decided
+    alike."""
     sq = np.sqrt(weights)
     w, core = _kyfan(s * sq[:, None] * sq[None, :], n)
-    if w[n - 1] <= 0:
+    if (_positive_eigenvalues(s) < n if abs(w[n - 1]) <= _INERTIA_BAND
+            else w[n - 1] <= 0):
         raise PreconditionError(
             f"the sign matrix has fewer than n={n} positive eigenvalues, so "
             f"the Ky Fan maximizer of its blow-up is not block-constant")

@@ -57,21 +57,17 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 # value once, as it is returned; inside the ascent only the Perron steps
 # check their output, so that a failed eigensolve raises NumericalError.
 
-def _eigh_descending(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of the symmetrized stack ``m``, eigenvalues descending,
-    eigenvectors as columns with their first coordinate of magnitude
-    above 1e-9 positive."""
+def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of the symmetrized stack ``m`` as LAPACK returns them:
+    eigenvalues ascending, eigenvectors as columns with LAPACK's signs.
+    The stack steps never read those signs (a projector and a Perron
+    vector flipped to a positive sum are the same either way); only
+    eig_sym, which returns eigenvectors, fixes them."""
     m = 0.5 * (m + m.swapaxes(-1, -2))
     try:
-        w, v = np.linalg.eigh(m)
+        return np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NumericalError(f"symmetric eigensolver did not converge: {exc}")
-    w = w[..., ::-1].copy()
-    v = v[..., ::-1].copy()
-    lead = np.argmax(np.abs(v) > 1e-9, axis=-2)
-    first = np.take_along_axis(v, lead[..., None, :], axis=-2)
-    v *= np.where(first < 0, -1.0, 1.0)
-    return w, v
 
 
 def _perron_pairs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -79,8 +75,8 @@ def _perron_pairs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``a`` from its full spectra, at every d: the top eigenvector of each,
     flipped to a positive sum, entries that are not positive repaired,
     normalized, and checked for residual and strict positivity."""
-    w, vs = _eigh_descending(a)
-    rho, v = w[:, 0], vs[..., 0]
+    w, vs = _eigh(a)
+    rho, v = w[:, -1], vs[..., -1]
     v = np.where(v.sum(axis=-1, keepdims=True) < 0, -v, v)
     # One application of the positive matrix makes any nonnegative
     # nonzero eigenvector strictly positive without changing it.
@@ -103,10 +99,10 @@ def _kyfan(m: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Descending eigenvalues of the symmetrized stack ``m`` and the
     exactly symmetric projector onto its top-n eigenvectors, the rank-n
     Ky Fan maximizer."""
-    w, v = _eigh_descending(m)
-    top = v[..., :n]
+    w, v = _eigh(m)
+    top = v[..., :-n - 1:-1].copy()
     p = top @ top.swapaxes(-1, -2)
-    return w, 0.5 * (p + p.swapaxes(-1, -2))
+    return w[..., ::-1].copy(), 0.5 * (p + p.swapaxes(-1, -2))
 
 
 def _perron_weights(a: np.ndarray) -> np.ndarray:
@@ -291,10 +287,15 @@ def eig_sym(a) -> Spectrum:
 
     Eigenvalues are returned in descending order.  Each eigenvector is
     normalized so that its first coordinate of magnitude above 1e-9 is
-    positive, which makes every downstream search reproducible.
+    positive, which makes the returned spectrum reproducible; this is
+    the one place the sign convention lives, as no stack step reads it.
     """
     m = _as_square_array(_entries_of(a), "eig_sym input")
-    return Spectrum(*_eigh_descending(m))
+    w, v = _eigh(m)
+    v = v[:, ::-1]
+    lead = np.argmax(np.abs(v) > 1e-9, axis=0)
+    return Spectrum(w[::-1], v * np.where(v[lead, np.arange(len(w))] < 0,
+                                          -1.0, 1.0))
 
 
 def perron(m) -> tuple[float, np.ndarray]:

@@ -23,8 +23,10 @@ decreases; fixed points are reported as converged.
 One batched kernel, ``_ascend``, runs the ascent for all B starts of a
 search at once: the signs are a (B, d, d) stack and the weights a (B, d)
 stack, plain arrays.  An iteration makes one batched Ky Fan step, one
-batched Perron-weight step on the lanes whose |P| is strictly positive,
-and a vectorized sign update; lanes that converge leave the batch.  Both
+batched Perron-weight step on the lanes whose value did not stall and
+whose |P| is strictly positive (a stalled lane stops with the weights
+it stepped from, so it never reads the Perron step), and a vectorized
+sign update; lanes that converge leave the batch.  Both
 steps are matcore's ``_kyfan`` and ``_perron_weights``, which kyfan_sum
 and the almost-minimal pipeline apply to one matrix, and every lane gets
 the same bits as its start run alone, so results do not depend on the
@@ -173,15 +175,18 @@ def _ascend(n: int, s: np.ndarray, w: np.ndarray, max_iter: int) -> _Lanes:
         out.history[lanes, it] = value
 
         s_next = _signs(p, SIGN_ZERO_TOL)
+        # A stalled lane stops here with w, so it takes no Perron step.
+        stalled = np.abs(value - prev) <= _VALUE_TOL
+        a = np.abs(p)
+        step = ~stalled & np.all(a > SIGN_ZERO_TOL, axis=(1, 2))
         w_next = w.copy()
-        positive = np.all(np.abs(p) > SIGN_ZERO_TOL, axis=(1, 2))
-        if positive.any():
-            w_next[positive] = _perron_weights(np.abs(p[positive]))
+        if step.any():
+            w_next[step] = _perron_weights(a[step])
 
         fixed = (np.all(s_next == s, axis=(1, 2))
                  & (np.abs(w_next - w).max(axis=1)
                     <= _FIXED_POINT_WEIGHT_TOL))
-        done = fixed | (np.abs(value - prev) <= _VALUE_TOL)
+        done = fixed | stalled
         stop = done | (it == max_iter - 1)
         # Every stopping lane reports the (S, D) it stepped from, the one
         # its value and P belong to.
@@ -217,7 +222,7 @@ def _ascend(n: int, s: np.ndarray, w: np.ndarray, max_iter: int) -> _Lanes:
 
 _CHUNK_BITS = 7
 # Entries of the (permutations x survivors) image block filtered at once.
-_IMAGE_BLOCK = 1 << 20
+_IMAGE_BLOCK = 1 << 16
 
 
 def _image_tables(d: int) -> np.ndarray:
@@ -254,10 +259,12 @@ def _canonical_reps(d: int) -> tuple[int, ...]:
     smaller code, so all 2^(d(d-1)/2) codes are filtered against the
     permutations in turn, keeping the survivors.  The permutations with
     the most fixed points go first: the d(d-1)/2 transpositions leave
-    about 3,000 of the 2^21 codes at d = 7.  A step takes as many
-    permutations as keep the image block within _IMAGE_BLOCK entries, so
-    one at a time while the survivors are many; the order and grouping
-    cannot change the result.
+    about 3,000 of the 2^21 codes at d = 7.  A step takes
+    max(1, _IMAGE_BLOCK // survivors) permutations, which keeps the
+    image block near _IMAGE_BLOCK = 2^16 entries: one at a time while
+    more than 2^15 codes survive (the first steps at d = 7), two over
+    the 2^15 codes of d = 6, more as the survivors thin out.  The order
+    and grouping cannot change the result.
     """
     length = d * (d - 1) // 2
     if length == 0:

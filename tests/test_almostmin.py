@@ -213,6 +213,43 @@ class TestPipeline:
                            match="fewer than n=6 positive eigenvalues"):
             almost_minimal(6, 32.0, seed)
 
+    @pytest.mark.parametrize("modes", [(0, 1, 7, 2, 6), (0, 2, 6, 3, 5)])
+    def test_exact_zero_eigenvalue_is_decided_exactly(self, monkeypatch,
+                                                      modes):
+        # the two circulant rank-5 seeds of R^8 are one seed up to the
+        # permutation j -> 3j mod 8: Sgn has spectrum (4, 4, 2.83, 2.83,
+        # 0, 0, -2.83, -2.83), and its fifth eigenvalue, 0, comes out of
+        # eigh as a rounding error of either sign; the exact count refuses
+        # both
+        seed = circulant_projection(8, modes)
+        evals = eig_sym(sign_matrix_of(seed)).eigenvalues
+        assert abs(evals[4]) <= 1e-12
+        counted = []
+        exact = almostmin._positive_eigenvalues
+
+        def count(s):
+            counted.append(exact(s))
+            return counted[-1]
+
+        monkeypatch.setattr(almostmin, "_positive_eigenvalues", count)
+        with pytest.raises(PreconditionError,
+                           match="fewer than n=5 positive eigenvalues"):
+            almost_minimal(5, 32.0, seed)
+        assert counted == [4]
+
+    def test_exact_positive_eigenvalue_count(self):
+        rng = np.random.default_rng(73)
+        for _ in range(60):
+            m = int(rng.integers(1, 10))
+            upper = np.triu(2.0 * rng.integers(0, 2, size=(m, m)) - 1.0, 1)
+            s = upper + upper.T + np.eye(m)
+            expected = np.count_nonzero(np.linalg.eigvalsh(s) > 1e-9)
+            assert almostmin._positive_eigenvalues(s) == expected
+        # spectra (9, 0, ..., 0) and (0, ..., 0, -9): the zero
+        # coefficients of x^8 (x - 9) and x^8 (x + 9) carry no sign
+        assert almostmin._positive_eigenvalues(np.ones((9, 9))) == 1
+        assert almostmin._positive_eigenvalues(-np.ones((9, 9))) == 0
+
     def test_refinement_validates_only_its_result(self, monkeypatch):
         # the first lift of this circulant seed changes its signs, so the
         # refinement takes two steps on m x m arrays
@@ -395,7 +432,7 @@ class TestBlockForm:
         icosa = BlowupSpec(sign_matrix_of(get_seed("icosa6")),
                            (1, 2, 3, 1, 2, 3))
         cases = [(icosa, 3)]
-        for _ in range(30):
+        for _ in range(45):
             m = int(rng.integers(2, 7))
             upper = np.triu(2.0 * rng.integers(0, 2, size=(m, m)) - 1.0, 1)
             mult = tuple(int(x) for x in rng.integers(1, 5, m))
@@ -403,10 +440,15 @@ class TestBlockForm:
                                      mult), int(rng.integers(1, m + 1))))
         block_form = 0
         for spec, n in cases:
+            # a nonzero eigenvalue of a +-1 matrix with m <= 6 is far
+            # from 0, so eigvalsh tells the exact inertia here
+            lam = np.linalg.eigvalsh(spec.base.entries)[-n]
             try:
                 p = lift(spec, n)
             except PreconditionError:
+                assert lam <= 1e-9
                 continue  # fewer than n positive eigenvalues: no lift
+            assert lam > 1e-9
             _, core = kyfan_sum(weighted_equivalent(spec), n)
             assert np.array_equal(p.core.entries, core.entries)
             block_form += 1

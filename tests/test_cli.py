@@ -209,6 +209,23 @@ def test_almost_min_rejects_seed_whose_signs_lack_n_positive_eigenvalues(
     assert "fewer than n=6 positive eigenvalues" in err
 
 
+@pytest.mark.parametrize("modes", [(0, 1, 7, 2, 6), (0, 2, 6, 3, 5)])
+def test_almost_min_decides_a_zero_eigenvalue_exactly(tmp_path, capsys,
+                                                      modes):
+    # the circulant rank-5 projections of R^8 onto these Fourier modes
+    # are one seed up to a coordinate permutation; Sgn has four positive
+    # eigenvalues and a double 0, so both are refused alike
+    j = np.arange(8)
+    c = sum(np.cos(2 * np.pi * k * j / 8) for k in modes) / 8
+    path = tmp_path / "seed.json"
+    path.write_text(json.dumps(matrix_to_json(c[(j[:, None] - j) % 8])))
+    code, out, err = run_cli(capsys, "almost-min", "--n", "5", "--eps", "32",
+                             "--seed", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ")
+    assert "fewer than n=5 positive eigenvalues" in err
+
+
 def test_relproj_hexagon(tmp_path, capsys):
     basis_file = tmp_path / "hex.json"
     basis_file.write_text(json.dumps(

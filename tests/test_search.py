@@ -10,6 +10,7 @@ from projconst import (GuardRefusal, PreconditionError, SignMatrix,
                        WeightVector, alternate_maximize, alternating_pi,
                        certify, etf_bound, exhaustive_pi, gruenbaum_floor,
                        kyfan_sum, perron, pi_n_general, sign_matrix_of)
+from projconst.matcore import _perron_weights
 from projconst.search import (_ascend, _canonical_reps, _decode,
                               restart_weights)
 from projconst.seeds import C_ICOSA
@@ -252,6 +253,14 @@ class TestCanonicalEnumeration:
         assert hashlib.sha256(text.encode()).hexdigest() == \
             CANONICAL_DIGESTS[d]
 
+    @pytest.mark.parametrize("block", [1 << 12, 1 << 20])
+    def test_image_block_does_not_change_the_classes(self, monkeypatch,
+                                                     block):
+        # 2^12 entries filter one permutation at a time while more than
+        # 2^11 codes survive; 2^20 takes 32 permutations in the first step
+        monkeypatch.setattr("projconst.search._IMAGE_BLOCK", block)
+        assert _canonical_reps.__wrapped__(6) == _canonical_reps(6)
+
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7])
     def test_decode_matches_encoding(self, d):
         # every code at d <= 5 and the class representatives at d = 6, 7,
@@ -428,10 +437,14 @@ class TestAlternating:
                   "103472fb6d9517205a1e252a8dba0f5c"),
         (3, 8, 6, "afcd6529809d04006282fa20db4bb11b"
                   "6b686c9847d6f5686515731df83188fb"),
+        (5, 12, 20, "1579379b967e031c46c64733e29e4846"
+                    "8fa5d248eaf0ea55ed368fd936402e2b"),
     ])
     def test_reproduces_cli_output(self, n, d, restarts, digest):
         # sha256 of the stdout of
-        # `projconst search --alternating --n N --d D --restarts R`
+        # `projconst search --alternating --n N --d D --restarts R`; at
+        # d = 12 the Ky Fan matmul takes another BLAS path when its
+        # operands change layout, which moves these bits
         assert cli_digest(alternating_pi(n, d, restarts)) == digest
 
     def test_rejects_zero_restarts(self):
@@ -476,6 +489,23 @@ class TestAscentKernel:
             assert np.array_equal(lanes.w[i], alone.D.w)
             assert np.array_equal(lanes.p[i], alone.P.entries)
         assert lanes.result(0).runs == len(starts)
+
+    def test_perron_step_skips_stalled_lanes(self, monkeypatch):
+        # a lane whose value stalled stops with the weights it stepped
+        # from, so its Perron step is never taken: 140 of the 3,082
+        # lane-iterations of exhaustive_pi(3, 6, 5) stall or have a zero
+        # in |P|
+        rows = []
+
+        def counted(a):
+            rows.append(len(a))
+            return _perron_weights(a)
+
+        monkeypatch.setattr("projconst.search._perron_weights", counted)
+        result = exhaustive_pi(3, 6, 5)
+        assert result.ascent_iterations == 3082
+        assert sum(rows) == 2942
+        assert cli_digest(result) == EXHAUSTIVE_DIGESTS[3, 6, 5]
 
 
 @pytest.mark.parametrize("search, n, d", [
