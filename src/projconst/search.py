@@ -7,11 +7,13 @@ weights D.  Both searches run the alternating ascent from a list of
 simultaneous row/column permutation and under Seidel switching
 S -> ESE with E diagonal +-1: sqrt(D) ESE sqrt(D) = E sqrt(D) S sqrt(D) E
 has the same spectrum, its maximizer is EPE, and |EPE| = |P| has the
-same Perron weights.  Exhaustive search therefore starts from sign
-matrices whose row and column 0 are all +1 and whose lower
-(d-1) x (d-1) block is one representative per graph isomorphism class
-on d - 1 vertices, with a fixed set of weight restarts; alternating
-search starts from seeded random sign matrices and weights.  The ascent:
+same Perron weights.  Exhaustive search therefore starts once per
+two-graph (switching class up to permutation) on d vertices, from a sign
+matrix whose row and column 0 are all +1 and whose lower (d-1) x (d-1)
+block is the smallest canonical graph on d - 1 vertices left by switching
+one vertex's row to +1 and deleting that vertex, with a fixed set of
+weight restarts; alternating search starts from seeded random sign
+matrices and weights.  The ascent:
 
   (i)   P  <- Ky Fan maximizer of sqrt(D) S sqrt(D),
   (ii)  S  <- sign pattern of P with zeros replaced by +1,
@@ -48,7 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import GuardRefusal, PreconditionError
+from .errors import GuardRefusal, PreconditionError, ResourceExhausted
 from .matcore import (SIGN_ZERO_TOL, OrthoProjection, SignMatrix, WeightVector,
                       _kyfan, _perron_weights, _signs, matrix_to_json)
 
@@ -59,6 +61,9 @@ _EXHAUSTIVE_MAX_ITER = 100
 _ALTERNATING_MAX_ITER = 200
 _VALUE_TOL = 1e-11
 _FIXED_POINT_WEIGHT_TOL = 1e-12
+# Entries of the (lanes, d, d) sign stack of one search: one dense matrix
+# at blowup's d <= 4096 cap.
+_LANE_ENTRY_BUDGET = 1 << 24
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,7 +211,7 @@ def _ascend(n: int, s: np.ndarray, w: np.ndarray, max_iter: int) -> _Lanes:
 
 
 # ---------------------------------------------------------------------------
-# Enumeration of sign matrices up to graph isomorphism.
+# Enumeration of sign matrices up to graph isomorphism and switching.
 #
 # The upper triangle of S is encoded as an integer with the (0,1) slot as
 # the most significant bit and bit 1 meaning entry +1; with this encoding
@@ -218,7 +223,8 @@ def _ascend(n: int, s: np.ndarray, w: np.ndarray, max_iter: int) -> _Lanes:
 # codes to codes through integer lookups: split the code into 7-bit chunks
 # and OR together one 128-entry table per chunk.  At d = 7 that is three
 # tables per permutation, about 8 MB of int32 for all 5039 non-identity
-# permutations, and codes stay int32 up to d = 8.
+# permutations, and codes stay int32 up to d = 8.  Exhaustive search at
+# d needs the tables of d - 1 vertices only, built once per d.
 
 _CHUNK_BITS = 7
 # Entries of the (permutations x survivors) image block filtered at once.
@@ -250,37 +256,83 @@ def _image_tables(d: int) -> np.ndarray:
     return tables
 
 
+def _survivors(tables: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """The rows of the (K, G) code array ``codes``, in order, that no
+    vertex permutation, the identity included, maps to a code below the
+    row's first code.
+
+    The permutations are the rows of ``tables`` (see _image_tables), taken
+    in order and filtered against the surviving rows in turn.  A step
+    takes max(1, _IMAGE_BLOCK // codes.size) permutations, which keeps the
+    image block near _IMAGE_BLOCK = 2^16 entries: one at a time while
+    more than 2^15 codes survive, more as the survivors thin out.  The
+    order and grouping cannot change the result.
+    """
+    codes = codes[codes.min(axis=1) >= codes[:, 0]]
+    mask = (1 << _CHUNK_BITS) - 1
+    start = 0
+    while start < len(tables) and codes.size:
+        block = tables[start:start + max(1, _IMAGE_BLOCK // codes.size)]
+        start += len(block)
+        images = block[:, 0, codes & mask]
+        for k in range(1, block.shape[1]):
+            images |= block[:, k, (codes >> k * _CHUNK_BITS) & mask]
+        codes = codes[images.min(axis=(0, 2)) >= codes[:, 0]]
+    return codes
+
+
+def _graph_classes(tables: np.ndarray, length: int) -> np.ndarray:
+    """Sorted canonical codes of length bits, one per graph class: a code
+    represents its class iff no vertex permutation maps it lower."""
+    codes = np.arange(1 << length, dtype=np.int32)
+    return _survivors(tables, codes[:, None])[:, 0]
+
+
 @lru_cache(maxsize=None)
 def _canonical_reps(d: int) -> tuple[int, ...]:
     """Sorted canonical encodings, one per isomorphism class of graphs on
     d vertices.
 
-    A code represents its class iff no vertex permutation maps it to a
-    smaller code, so all 2^(d(d-1)/2) codes are filtered against the
-    permutations in turn, keeping the survivors.  The permutations with
-    the most fixed points go first: the d(d-1)/2 transpositions leave
-    about 3,000 of the 2^21 codes at d = 7.  A step takes
-    max(1, _IMAGE_BLOCK // survivors) permutations, which keeps the
-    image block near _IMAGE_BLOCK = 2^16 entries: one at a time while
-    more than 2^15 codes survive (the first steps at d = 7), two over
-    the 2^15 codes of d = 6, more as the survivors thin out.  The order
-    and grouping cannot change the result.
+    All 2^(d(d-1)/2) codes are filtered against the permutations, the
+    ones with the most fixed points first: the d(d-1)/2 transpositions
+    leave about 3,000 of the 2^21 codes at d = 7.
     """
     length = d * (d - 1) // 2
     if length == 0:
         return (0,)
-    tables = _image_tables(d)
-    survivors = np.arange(1 << length, dtype=np.int32)
-    mask = (1 << _CHUNK_BITS) - 1
-    start = 0
-    while start < len(tables):
-        block = tables[start:start + max(1, _IMAGE_BLOCK // len(survivors))]
-        start += len(block)
-        images = block[:, 0, survivors & mask]
-        for k in range(1, block.shape[1]):
-            images |= block[:, k, (survivors >> k * _CHUNK_BITS) & mask]
-        survivors = survivors[np.all(images >= survivors, axis=0)]
-    return tuple(int(x) for x in survivors)
+    return tuple(map(int, _graph_classes(_image_tables(d), length)))
+
+
+@lru_cache(maxsize=None)
+def _two_graph_reps(d: int) -> tuple[int, ...]:
+    """Sorted lower-block codes on d - 1 vertices, one per two-graph
+    (switching class of sign matrices) on d vertices.
+
+    A sign matrix with row 0 all +1 and a canonical lower block L is
+    kept iff L is the smallest key of its two-graph.  Switching row v to
+    +1 and deleting v gives a graph on d - 1 vertices for each vertex v;
+    v = 0 gives L itself, so the start is kept iff no permutation maps
+    the graph of any v below L.  The graph-class and two-graph filters
+    share the image tables of d - 1 vertices.
+    """
+    m = d - 1
+    length = m * (m - 1) // 2
+    if length == 0:
+        return (0,)
+    tables = _image_tables(m)
+    lower = _graph_classes(tables, length)
+    s = np.ones((len(lower), d, d))
+    s[:, 1:, 1:] = _decode(lower, m)
+    # Switching row v to +1 makes entry (x, y) s[v, x] s[x, y] s[v, y];
+    # rest[v] are the vertices left after deleting v, in order.
+    v = np.arange(d)[:, None]
+    rest = np.array([[u for u in range(d) if u != k] for k in range(d)])
+    i, j = np.triu_indices(m, 1)
+    x, y = rest[:, i], rest[:, j]
+    bits = (s[:, v, x] * s[:, x, y] * s[:, v, y] > 0).astype(np.int32)
+    codes = (bits << np.arange(length - 1, -1, -1, dtype=np.int32)).sum(
+        axis=2, dtype=np.int32)
+    return tuple(map(int, _survivors(tables, codes)[:, 0]))
 
 
 def _decode(codes, d: int) -> np.ndarray:
@@ -312,6 +364,15 @@ def restart_weights(d: int, count: int) -> list[WeightVector]:
                         for _ in range(count - 1)]
 
 
+def _check_lanes(lanes: int, d: int) -> None:
+    """Refuse a search whose lanes x d x d sign stack exceeds
+    _LANE_ENTRY_BUDGET entries, before anything is drawn or allocated."""
+    if lanes * d * d > _LANE_ENTRY_BUDGET:
+        raise ResourceExhausted(
+            f"search refused: {lanes} ascent lanes of {d} x {d} sign "
+            f"matrices exceed the 2^24-entry budget")
+
+
 def _best_run(n: int, s: np.ndarray, w: np.ndarray,
               max_iter: int) -> SearchResult:
     """Best ascent over the starts (s[i], w[i]), all stepped together.
@@ -324,30 +385,33 @@ def exhaustive_pi(n: int, d: int, restarts: int = 5) -> SearchResult:
     """Maximize pi_n(sqrt(D) S sqrt(D)) over all sign matrices S of size d
     with the weights optimized per start by restarted alternation.
 
-    Every sign matrix is switched by E = diag(S[0]) to row 0 all +1 and
-    then permuted, fixing vertex 0, to a start whose lower block is a
-    canonical representative on d - 1 vertices (1,044 starts at d = 8).
-    The result is the best start's ascent, so its S is one
-    representative of a switching class of maximizers.
+    Every sign matrix is switched and permuted to a start whose row 0 is
+    all +1 and whose lower block is the smallest key of its two-graph, so
+    there is one start per two-graph (243 starts at d = 8).  The result
+    is the best start's ascent, so its S is one representative of a
+    switching class of maximizers.
 
     Refuses d above 8: the candidate space has 2^(d(d-1)/2) members.
+    Raises ResourceExhausted before any draw when the starts x restarts
+    lanes of d x d signs exceed 2^24 entries.
     """
+    if not (1 <= n <= d):
+        raise PreconditionError(f"n={n} out of range 1..{d}")
+    if restarts < 1:
+        raise PreconditionError("restarts must be >= 1")
     if d > EXHAUSTIVE_MAX_D:
         raise GuardRefusal(
             f"exhaustive search refused for d={d}: "
             f"2^{d * (d - 1) // 2} = {2 ** (d * (d - 1) // 2)} candidate "
             f"sign matrices exceeds the d<={EXHAUSTIVE_MAX_D} guard",
             candidates=2 ** (d * (d - 1) // 2))
-    if not (1 <= n <= d):
-        raise PreconditionError(f"n={n} out of range 1..{d}")
-    if restarts < 1:
-        raise PreconditionError("restarts must be >= 1")
     # Lower-block codes ascend, and so do the full codes, whose leading
     # bits are the +1 entries of row 0, so the earliest-start tie-break of
     # _best_run picks the lexicographically smallest start.
-    lower = _decode(_canonical_reps(d - 1), d - 1)
+    lower = _two_graph_reps(d)
+    _check_lanes(len(lower) * restarts, d)
     reps = np.ones((len(lower), d, d))
-    reps[:, 1:, 1:] = lower
+    reps[:, 1:, 1:] = _decode(lower, d - 1)
     weights = np.stack([w.w for w in restart_weights(d, restarts)])
     return _best_run(n, np.repeat(reps, restarts, axis=0),
                      np.tile(weights, (len(reps), 1)), _EXHAUSTIVE_MAX_ITER)
@@ -359,11 +423,14 @@ def alternating_pi(n: int, d: int, restarts: int = 5) -> SearchResult:
     strictly positive simplex weights, drawn from a fixed seed.
 
     A lower bound at any d; exhaustive_pi gives the exact value up to d = 8.
+    Raises ResourceExhausted before any draw when restarts x d x d
+    exceeds 2^24 entries.
     """
     if restarts < 1:
         raise PreconditionError("restarts must be >= 1")
     if not (1 <= n <= d):
         raise PreconditionError(f"n={n} out of range 1..d (d={d})")
+    _check_lanes(restarts, d)
     rng = np.random.default_rng(_RESTART_SEED)
     s = np.empty((restarts, d, d))
     w = np.empty((restarts, d))

@@ -70,6 +70,28 @@ def test_search_guard_refusal(capsys):
     assert "2^36" in err and "68719476736" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--n", "0"], "n=0 out of range 1..9"),
+    (["--n", "2", "--restarts", "0"], "restarts must be >= 1"),
+])
+def test_search_checks_inputs_before_the_guard(capsys, argv, message):
+    code, out, err = run_cli(capsys, "search", "--d", "9", "--exhaustive",
+                             *argv)
+    assert code == 1
+    assert out == ""
+    assert message in err and "refused" not in err
+
+
+@pytest.mark.parametrize("mode", ["--exhaustive", "--alternating"])
+def test_search_refuses_restarts_beyond_the_lane_budget(capsys, mode):
+    code, out, err = run_cli(capsys, "search", "--n", "2", "--d", "2", mode,
+                             "--restarts", "100000000000000000000")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("resource error: search refused: ")
+    assert "2^24-entry budget" in err
+
+
 def test_search_alternating(capsys):
     code, out, _ = run_cli(capsys, "search", "--n", "2", "--d", "3",
                            "--alternating", "--restarts", "3")

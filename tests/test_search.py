@@ -6,13 +6,14 @@ import json
 import numpy as np
 import pytest
 
-from projconst import (GuardRefusal, PreconditionError, SignMatrix,
-                       WeightVector, alternate_maximize, alternating_pi,
-                       certify, etf_bound, exhaustive_pi, gruenbaum_floor,
-                       kyfan_sum, perron, pi_n_general, sign_matrix_of)
+from projconst import (GuardRefusal, PreconditionError, ResourceExhausted,
+                       SignMatrix, WeightVector, alternate_maximize,
+                       alternating_pi, certify, etf_bound, exhaustive_pi,
+                       gruenbaum_floor, kyfan_sum, perron, pi_n_general,
+                       sign_matrix_of)
 from projconst.matcore import _perron_weights
-from projconst.search import (_ascend, _canonical_reps, _decode,
-                              restart_weights)
+from projconst.search import (_ascend, _canonical_reps, _check_lanes,
+                              _decode, _two_graph_reps, restart_weights)
 from projconst.seeds import C_ICOSA
 
 PHI = (1 + np.sqrt(5)) / 2
@@ -21,20 +22,21 @@ HEX_S = 2 * np.eye(3) - np.ones((3, 3))
 # sha256 of the stdout of
 # `projconst search --exhaustive --n N --d D --restarts R`, recorded when the
 # starts became sign matrices with row 0 all +1 over the graph classes on
-# d - 1 vertices.
+# d - 1 vertices; (2, 4, 5) and (3, 5, 5) re-pinned when the starts became
+# one per two-graph, whose kept lanes have the same bits.
 EXHAUSTIVE_DIGESTS = {
     (2, 3, 5): "fc3ff42d1b352d0bcdcb223ab3b5fe71"
                "4dbc1eff518f1daeb8286e71f66917fc",
     (1, 4, 5): "460d5bbccf41a8e6e6d50385b81a7551"
                "bb223e937d30f454763df67a60626b13",
-    (2, 4, 5): "c00627200c3bb145e902bec6d678b463"
-               "3abb3e133c4169e6dd34507985f33e20",
+    (2, 4, 5): "2851607a6a20a5cde3e12f630e47dc9d"
+               "79403b81b8aae1b5def965c3b812df33",
     (3, 4, 5): "7513ad99be524f5cd69e9eca57f15c75"
                "14f5dca744066ef4b26a923975da45b8",
     (2, 5, 5): "07ca30523c07694794b87078af793b22"
                "f924f754cc0d86f7f95574a6ba2aca75",
-    (3, 5, 5): "18b498ca97b02084f743e22c790998c6"
-               "9a1f0580312eb949bcbc21a0c0d6182d",
+    (3, 5, 5): "6c893088588fc0caa3cb0dc98c7a0c80"
+               "ccf356dc6fe146ae4c4c29499f970409",
     (4, 5, 5): "5abb9479ee0b2c3edb5439a307069ae0"
                "c3e1f3dd6176a438a63e5f43809e19cc",
     (3, 6, 5): "eddb8105e4e59766b3f8f17033ea74d1"
@@ -87,6 +89,34 @@ UNREDUCED_VALUES = {
     (1, 7, 1): 1.0000000000000009,
 }
 
+# sha256 of ",".join(map(str, _two_graph_reps(d))), recorded when the
+# exhaustive starts became one per two-graph.
+TWO_GRAPH_DIGESTS = {
+    6: "5083b50c83cda4a78a457c03f0f77ccc5da079da8c3d31562858dcc1841af178",
+    7: "0a38bd5556e3002ae1e4ef940819fecdc1b51e66cdb2d63f2ea1af87f1994fd8",
+    8: "f0cfb6efba9862af55c98efe4d104fcaa55187350662902b1e8826d19da8d6fd",
+}
+
+# exhaustive_pi(n, d, 5).value of the search that started once per graph
+# class on d - 1 vertices (commit 6c48233), keyed (n, d).
+GRAPH_START_VALUES = {
+    (1, 7): 1.0000000000000009,
+    (2, 7): 1.3333333333333335,
+    (3, 7): 1.6180339887498776,
+    (4, 7): 1.7397684553298487,
+    (5, 7): 1.7536285900761852,
+    (6, 7): 1.7142857142857142,
+    (7, 7): 1.0000000000000002,
+    (1, 8): 1.0000000000000013,
+    (2, 8): 1.333333333333334,
+    (3, 8): 1.6180339887498791,
+    (4, 8): 1.7923015113517349,
+    (5, 8): 1.8377039610514547,
+    (6, 8): 1.8257071069180693,
+    (7, 8): 1.7500000000000004,
+    (8, 8): 1.0000000000000004,
+}
+
 # Pi(n, 8) for n = 1..8; 7/4 = 2 - 2/8 at n = 7 attains etf_bound(7, 8).
 PI_8 = {1: 1.0, 2: 4 / 3, 3: PHI, 4: 1.792301511352, 5: 1.837703961051,
         6: 1.825707106918, 7: 1.75, 8: 1.0}
@@ -101,9 +131,11 @@ def exhaustive_cached(n, d, restarts):
     return exhaustive_pi(n, d, restarts)
 
 
-def orbit_minima(d):
+def orbit_minima(d, switching=False):
     """Smallest image of every upper-triangle code under all vertex
-    permutations, by Python loops over each permutation and bit."""
+    permutations, by Python loops over each permutation and bit; with
+    ``switching``, under all 2^d switchings S -> ESE followed by all
+    permutations.  A switching flips the slots (i, j) with e_i != e_j."""
     slots = list(itertools.combinations(range(d), 2))
     length = len(slots)
     targets = [[slots.index(tuple(sorted((perm[i], perm[j]))))
@@ -114,7 +146,14 @@ def orbit_minima(d):
         return sum(1 << (length - 1 - t) for e, t in enumerate(target)
                    if code >> (length - 1 - e) & 1)
 
-    return [min(image(code, t) for t in targets)
+    minima = [min(image(code, t) for t in targets)
+              for code in range(1 << length)]
+    if not switching:
+        return minima
+    flips = [sum(1 << (length - 1 - e) for e, (i, j) in enumerate(slots)
+                 if signs[i] != signs[j])
+             for signs in itertools.product((1, -1), repeat=d)]
+    return [min(minima[code ^ flip] for flip in flips)
             for code in range(1 << length)]
 
 
@@ -288,6 +327,47 @@ class TestCanonicalEnumeration:
             assert x.is_strictly_positive()
 
 
+class TestTwoGraphStarts:
+    def test_class_counts(self):
+        # numbers of two-graphs on 1..8 unlabeled vertices
+        for d, count in enumerate((1, 1, 2, 3, 7, 16, 54, 243), start=1):
+            assert len(_two_graph_reps(d)) == count
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_every_sign_matrix_reaches_exactly_one_start(self, d):
+        # a start is row 0 all +1 over a lower block L, so its code is
+        # d - 1 one bits above L; every switching class must hold
+        # exactly one start, that is, the starts' classes are distinct
+        # and cover every class
+        length = d * (d - 1) // 2
+        high = ((1 << d - 1) - 1) << (length - d + 1)
+        starts = [high | code for code in _two_graph_reps(d)]
+        minima = orbit_minima(d, switching=True)
+        assert sorted({minima[code] for code in starts}) == \
+            sorted(set(minima))
+        assert len(starts) == len(set(minima))
+        assert set(_two_graph_reps(d)) <= set(_canonical_reps(d - 1))
+
+    @pytest.mark.parametrize("d", sorted(TWO_GRAPH_DIGESTS))
+    def test_starts_pinned(self, d):
+        text = ",".join(map(str, _two_graph_reps(d)))
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            TWO_GRAPH_DIGESTS[d]
+
+    @pytest.mark.parametrize("block", [1 << 12, 1 << 20])
+    def test_image_block_does_not_change_the_starts(self, monkeypatch,
+                                                    block):
+        monkeypatch.setattr("projconst.search._IMAGE_BLOCK", block)
+        text = ",".join(map(str, _two_graph_reps.__wrapped__(8)))
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            TWO_GRAPH_DIGESTS[8]
+
+    @pytest.mark.parametrize("n, d", list(GRAPH_START_VALUES))
+    def test_agrees_with_graph_class_starts(self, n, d):
+        value = exhaustive_cached(n, d, 5).value
+        assert abs(value - GRAPH_START_VALUES[n, d]) <= 1e-12
+
+
 class TestExhaustive:
     def test_hexagon_value(self):
         res = exhaustive_pi(2, 3)
@@ -307,20 +387,36 @@ class TestExhaustive:
             exhaustive_pi(2, 9)
         assert err.value.candidates == 2 ** 36
 
+    @pytest.mark.parametrize("search", [exhaustive_pi, alternating_pi])
+    def test_refuses_lanes_beyond_the_budget(self, monkeypatch, search):
+        # 10^20 lanes cannot be allocated; the refusal comes before any
+        # start is decoded or any weight drawn
+        def unreachable(*args):
+            raise AssertionError("reached past the lane budget")
+
+        for name in ("_decode", "restart_weights", "_floored_dirichlet"):
+            monkeypatch.setattr(f"projconst.search.{name}", unreachable)
+        with pytest.raises(ResourceExhausted, match="2\\^24-entry budget"):
+            search(2, 2, 10 ** 20)
+
+    def test_lane_budget_is_two_to_the_24_entries(self):
+        _check_lanes(1 << 20, 4)
+        with pytest.raises(ResourceExhausted):
+            _check_lanes((1 << 20) + 1, 4)
+
     @pytest.mark.parametrize("n, d, restarts", list(EXHAUSTIVE_DIGESTS))
     def test_reproduces_cli_output(self, n, d, restarts):
         result = exhaustive_cached(n, d, restarts)
         assert cli_digest(result) == EXHAUSTIVE_DIGESTS[n, d, restarts]
 
     def test_counters_cover_every_start(self):
-        # one ascent run per (lower-block class of d - 1 vertices, weight
-        # restart)
+        # one ascent run per (two-graph on d vertices, weight restart)
         results = [exhaustive_cached(*key) for key in EXHAUSTIVE_DIGESTS]
-        assert sum(r.runs for r in results) == 561
-        assert sum(r.ascent_iterations for r in results) == 5241
+        assert sum(r.runs for r in results) == 294
+        assert sum(r.ascent_iterations for r in results) == 2795
         assert sum(r.nonconverged for r in results) == 0
         hexagon = exhaustive_cached(3, 6, 5)
-        assert (hexagon.runs, hexagon.ascent_iterations) == (170, 3082)
+        assert (hexagon.runs, hexagon.ascent_iterations) == (80, 1456)
 
     def test_dominates_alternating(self):
         rng = np.random.default_rng(16)
@@ -492,7 +588,7 @@ class TestAscentKernel:
 
     def test_perron_step_skips_stalled_lanes(self, monkeypatch):
         # a lane whose value stalled stops with the weights it stepped
-        # from, so its Perron step is never taken: 140 of the 3,082
+        # from, so its Perron step is never taken: 64 of the 1,456
         # lane-iterations of exhaustive_pi(3, 6, 5) stall or have a zero
         # in |P|
         rows = []
@@ -503,8 +599,8 @@ class TestAscentKernel:
 
         monkeypatch.setattr("projconst.search._perron_weights", counted)
         result = exhaustive_pi(3, 6, 5)
-        assert result.ascent_iterations == 3082
-        assert sum(rows) == 2942
+        assert result.ascent_iterations == 1456
+        assert sum(rows) == 1392
         assert cli_digest(result) == EXHAUSTIVE_DIGESTS[3, 6, 5]
 
 
