@@ -246,7 +246,7 @@ def almost_minimal(n: int, eps: float, seed: OrthoProjection) -> PipelineResult:
     if not seed.abs_is_positive():
         raise PreconditionError(
             "pipeline seed must have strictly positive |P|")
-    if not (1 <= n <= seed.d) or seed.n != n:
+    if seed.n != n:
         raise PreconditionError(
             f"seed has rank {seed.n}, expected n={n}")
     m = seed.d

@@ -128,7 +128,7 @@ class EqualityCase:
 def equality_case(a, p: OrthoProjection) -> EqualityCase:
     """Diagnose whether Tr(AP) attains the Ky Fan sum and whether A and P
     commute (maximizers always commute), both within 1e-9."""
-    am = _entries_of(a)
+    am = _as_square_array(_entries_of(a), "equality_case input")
     pm = p.entries
     if am.shape != pm.shape:
         raise PreconditionError("dimension mismatch between A and P")

@@ -2,7 +2,9 @@
 
 Dirichlet's theorem guarantees, for any target quality k, a denominator
 q < k^(m-1) with |q * w_i - round(q * w_i)| <= 1/k for the first m-1
-weights.  The smallest such q is found by a linear scan; the last
+weights.  The smallest such q is found by a scan over chunks of q whose
+size doubles from 2^8 to 2^17, so a small q costs a small chunk; when the
+cap runs out, ResourceExhausted reports the first q of least error.  The last
 multiplicity is defined residually so the p_i sum to q exactly.  The
 resulting multiplicities feed the blow-up construction.
 """
@@ -17,8 +19,6 @@ import numpy as np
 from .errors import PreconditionError, ResourceExhausted
 
 DEFAULT_Q_CAP = 10**6
-# The scan takes chunks of q that double from _FIRST_CHUNK up to
-# _SCAN_CHUNK, so a small q costs a small chunk.
 _FIRST_CHUNK = 1 << 8
 _SCAN_CHUNK = 1 << 17
 
@@ -82,37 +82,31 @@ def dirichlet_approx(weights, k: int, q_cap: int | None = None) -> RationalWeigh
         raise PreconditionError("k must be >= 1")
     m = w.size
     if q_cap is None:
-        q_cap = min(k ** max(m - 1, 1), DEFAULT_Q_CAP)
+        q_cap = min(k ** (m - 1), DEFAULT_Q_CAP)
     q_cap = int(q_cap)
     if q_cap < 1:
         raise PreconditionError("q_cap must be >= 1")
 
     head = w[:-1]
-    target = 1.0 / k
-    best_q, best_err = 0, np.inf
-    q = 0
+    best = (np.inf, 0)  # (error, q) of the first least error
     lo, size = 1, _FIRST_CHUNK
     while lo <= q_cap:
         hi = min(lo + size, q_cap + 1)
         qs = np.arange(lo, hi, dtype=float)
         lo, size = hi, min(2 * size, _SCAN_CHUNK)
-        if head.size:
-            prod = qs[:, None] * head[None, :]
-            errs = np.abs(prod - np.round(prod)).max(axis=1)
-        else:
-            errs = np.zeros(qs.size)
-        hit = np.nonzero(errs <= target)[0]
-        i = int(np.argmin(errs))
-        if errs[i] < best_err:
-            best_err, best_q = float(errs[i]), int(qs[i])
+        prod = qs[:, None] * head[None, :]
+        errs = np.abs(prod - np.round(prod)).max(axis=1, initial=0.0)
+        hit = np.flatnonzero(errs <= 1.0 / k)
         if hit.size:
             q = int(qs[hit[0]])
             break
-    if not q:
+        i = int(np.argmin(errs))
+        best = min(best, (float(errs[i]), int(qs[i])))
+    else:
         raise ResourceExhausted(
             f"no q <= {q_cap} reaches quality 1/{k} "
-            f"(best q={best_q} with error {best_err:.3e})",
-            best_q=best_q, best_err=best_err)
+            f"(best q={best[1]} with error {best[0]:.3e})",
+            best_q=best[1], best_err=best[0])
 
     p_head = [int(x) for x in np.round(q * head)]
     p_last = q - sum(p_head)
@@ -122,6 +116,6 @@ def dirichlet_approx(weights, k: int, q_cap: int | None = None) -> RationalWeigh
             f"rounded multiplicity nonpositive at q={q}: {p} "
             "(k too small for these weights)")
     approx = np.asarray(p, dtype=float) / q
-    max_err = float(np.abs(w[:-1] - approx[:-1]).max()) if m > 1 else 0.0
+    max_err = float(np.abs(head - approx[:-1]).max(initial=0.0))
     total_err = float(np.abs(w - approx).sum())
     return RationalWeights(p, q, k, max_err, total_err)

@@ -105,9 +105,7 @@ def _check_space(space: str) -> str:
 def nu1(a, space: str) -> float:
     """1-nuclear norm: sum of column-wise max-abs entries for linf,
     sum of row-wise max-abs entries for l1."""
-    m = np.asarray(_entries_of(a), dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise PreconditionError("nu1 requires a square matrix")
+    m = _as_square_array(_entries_of(a), "nu1 input")
     _check_space(space)
     return _block_nu1(m, np.ones(m.shape[0]), space)
 

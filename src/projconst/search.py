@@ -50,6 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .blowup import _DENSE_SIZE_LIMIT
 from .errors import GuardRefusal, PreconditionError, ResourceExhausted
 from .matcore import (SIGN_ZERO_TOL, OrthoProjection, SignMatrix, WeightVector,
                       _kyfan, _perron_weights, _signs, matrix_to_json)
@@ -63,7 +64,7 @@ _VALUE_TOL = 1e-11
 _FIXED_POINT_WEIGHT_TOL = 1e-12
 # Entries of the (lanes, d, d) sign stack of one search: one dense matrix
 # at blowup's d <= 4096 cap.
-_LANE_ENTRY_BUDGET = 1 << 24
+_LANE_ENTRY_BUDGET = _DENSE_SIZE_LIMIT ** 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,8 +186,7 @@ def _ascend(n: int, s: np.ndarray, w: np.ndarray, max_iter: int) -> _Lanes:
         a = np.abs(p)
         step = ~stalled & np.all(a > SIGN_ZERO_TOL, axis=(1, 2))
         w_next = w.copy()
-        if step.any():
-            w_next[step] = _perron_weights(a[step])
+        w_next[step] = _perron_weights(a[step])
 
         fixed = (np.all(s_next == s, axis=(1, 2))
                  & (np.abs(w_next - w).max(axis=1)
@@ -224,17 +224,19 @@ def _ascend(n: int, s: np.ndarray, w: np.ndarray, max_iter: int) -> _Lanes:
 # and OR together one 128-entry table per chunk.  At d = 7 that is three
 # tables per permutation, about 8 MB of int32 for all 5039 non-identity
 # permutations, and codes stay int32 up to d = 8.  Exhaustive search at
-# d needs the tables of d - 1 vertices only, built once per d.
+# d needs the tables and graph classes of d - 1 vertices only, each built
+# once per process and shared by the graph-class and two-graph filters.
 
 _CHUNK_BITS = 7
 # Entries of the (permutations x survivors) image block filtered at once.
 _IMAGE_BLOCK = 1 << 16
 
 
+@lru_cache(maxsize=None)
 def _image_tables(d: int) -> np.ndarray:
-    """(d! - 1, chunks, 128) int32 tables, one row per non-identity vertex
-    permutation, most fixed points first.  Entry c of table k is the image
-    of the code whose chunk k holds c and whose other chunks are 0."""
+    """Read-only (d! - 1, chunks, 128) int32 tables, one row per vertex
+    permutation but the identity, most fixed points first.  Entry c of
+    table k is the image of the code whose chunk k holds c, the others 0."""
     slots = np.transpose(np.triu_indices(d, 1))
     length = len(slots)
     index = np.zeros((d, d), dtype=np.int64)
@@ -253,6 +255,7 @@ def _image_tables(d: int) -> np.ndarray:
     for t in range(_CHUNK_BITS):  # entry c + 2^t is entry c | image of t
         tables[..., 1 << t:2 << t] = (tables[..., :1 << t]
                                       | weight[..., t, None])
+    tables.flags.writeable = False
     return tables
 
 
@@ -281,13 +284,6 @@ def _survivors(tables: np.ndarray, codes: np.ndarray) -> np.ndarray:
     return codes
 
 
-def _graph_classes(tables: np.ndarray, length: int) -> np.ndarray:
-    """Sorted canonical codes of length bits, one per graph class: a code
-    represents its class iff no vertex permutation maps it lower."""
-    codes = np.arange(1 << length, dtype=np.int32)
-    return _survivors(tables, codes[:, None])[:, 0]
-
-
 @lru_cache(maxsize=None)
 def _canonical_reps(d: int) -> tuple[int, ...]:
     """Sorted canonical encodings, one per isomorphism class of graphs on
@@ -300,7 +296,8 @@ def _canonical_reps(d: int) -> tuple[int, ...]:
     length = d * (d - 1) // 2
     if length == 0:
         return (0,)
-    return tuple(map(int, _graph_classes(_image_tables(d), length)))
+    codes = np.arange(1 << length, dtype=np.int32)[:, None]
+    return tuple(map(int, _survivors(_image_tables(d), codes)[:, 0]))
 
 
 @lru_cache(maxsize=None)
@@ -312,15 +309,14 @@ def _two_graph_reps(d: int) -> tuple[int, ...]:
     kept iff L is the smallest key of its two-graph.  Switching row v to
     +1 and deleting v gives a graph on d - 1 vertices for each vertex v;
     v = 0 gives L itself, so the start is kept iff no permutation maps
-    the graph of any v below L.  The graph-class and two-graph filters
-    share the image tables of d - 1 vertices.
+    the graph of any v below L.  Both filters share the classes and image
+    tables of d - 1 vertices, each built once per process.
     """
     m = d - 1
     length = m * (m - 1) // 2
     if length == 0:
         return (0,)
-    tables = _image_tables(m)
-    lower = _graph_classes(tables, length)
+    lower = _canonical_reps(m)
     s = np.ones((len(lower), d, d))
     s[:, 1:, 1:] = _decode(lower, m)
     # Switching row v to +1 makes entry (x, y) s[v, x] s[x, y] s[v, y];
@@ -332,7 +328,7 @@ def _two_graph_reps(d: int) -> tuple[int, ...]:
     bits = (s[:, v, x] * s[:, x, y] * s[:, v, y] > 0).astype(np.int32)
     codes = (bits << np.arange(length - 1, -1, -1, dtype=np.int32)).sum(
         axis=2, dtype=np.int32)
-    return tuple(map(int, _survivors(tables, codes)[:, 0]))
+    return tuple(map(int, _survivors(_image_tables(m), codes)[:, 0]))
 
 
 def _decode(codes, d: int) -> np.ndarray:

@@ -516,3 +516,16 @@ class TestBlockForm:
         assert np.array_equal(res.S.entries, s.entries)
         assert np.abs(res.P.entries - p.entries).max() <= 1e-10
         assert_certs_agree(res.cert, cert, 1e-10)
+
+
+# Refusals of the almost-minimal budget: (call, message).
+ALMOSTMIN_REFUSALS = [
+    pytest.param(lambda: eta_of_eps(0, 1.0), "n must be >= 1",
+                 id="eta-n-zero"),
+]
+
+
+@pytest.mark.parametrize("call, message", ALMOSTMIN_REFUSALS)
+def test_almostmin_refusals(call, message):
+    with pytest.raises(PreconditionError, match=message):
+        call()

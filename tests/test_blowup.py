@@ -117,3 +117,16 @@ class TestDenseCap:
                                  mult)
         with pytest.raises(ResourceExhausted, match="4096"):
             blocks.dense()
+
+
+# Refusals of the blow-up constructors: (call, message).
+BLOWUP_REFUSALS = [
+    pytest.param(lambda: BlockProjection(np.eye(2), (1, 1)),
+                 "core must be an OrthoProjection", id="core-not-projection"),
+]
+
+
+@pytest.mark.parametrize("call, message", BLOWUP_REFUSALS)
+def test_blowup_refusals(call, message):
+    with pytest.raises(PreconditionError, match=message):
+        call()

@@ -559,6 +559,17 @@ def test_dirichlet_resource_error(capsys):
     assert "resource error" in err
 
 
+@pytest.mark.parametrize("weights, k, message", [
+    ("0.01,0.99", "2", "rounded multiplicity nonpositive"),
+])
+def test_dirichlet_input_errors(capsys, weights, k, message):
+    code, out, err = run_cli(capsys, "dirichlet", "--weights", weights,
+                             "--k", k)
+    assert code == 1
+    assert out == ""
+    assert message in err
+
+
 def test_dirichlet_rejects_nan_weight(capsys):
     code, out, err = run_cli(capsys, "dirichlet", "--weights", "nan,0.5",
                              "--k", "3")

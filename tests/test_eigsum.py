@@ -237,3 +237,25 @@ class TestSpectralGapBound:
         p = validate_projection(np.diag([1.0, 0.0, 1.0]), 2)
         with pytest.raises(PreconditionError):
             spectral_gap_bound(p)
+
+
+# Refusals at the public entry points of eigsum: (call, message).
+EIGSUM_REFUSALS = [
+    pytest.param(lambda: equality_case([[np.nan, 0.0], [0.0, 1.0]],
+                                       validate_projection(np.diag([1.0, 0.0]),
+                                                           1)),
+                 "equality_case input contains non-finite entries",
+                 id="equality-case-nan"),
+    pytest.param(lambda: equality_case(np.ones((2, 3)),
+                                       validate_projection(np.eye(2), 2)),
+                 r"equality_case input must be square, got shape \(2, 3\)",
+                 id="equality-case-not-square"),
+    pytest.param(lambda: cucc_selection(np.eye(3), 4),
+                 r"n=4 out of range 1\.\.3", id="cucc-n-beyond-d"),
+]
+
+
+@pytest.mark.parametrize("call, message", EIGSUM_REFUSALS)
+def test_eigsum_refusals(call, message):
+    with pytest.raises(PreconditionError, match=message):
+        call()

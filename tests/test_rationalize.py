@@ -144,3 +144,21 @@ class TestDirichletApprox:
         for k in (4, 7, 20):
             res = dirichlet_approx(w, k)
             assert res.q < k ** (len(w) - 1) + 1
+
+
+# Refusals of dirichlet_approx: (weights, k, q_cap, error, message).
+DIRICHLET_REFUSALS = [
+    ([0.01, 0.99], 2, None, PreconditionError,
+     r"rounded multiplicity nonpositive at q=1: \(0, 1\) "
+     r"\(k too small for these weights\)"),
+    ([], 3, None, PreconditionError, "weights must be a nonempty vector"),
+    ([0.5, 0.5], 0, None, PreconditionError, "k must be >= 1"),
+    ([1.0], 3, 0, PreconditionError, "q_cap must be >= 1"),
+]
+
+
+@pytest.mark.parametrize("weights, k, q_cap, error, message",
+                         DIRICHLET_REFUSALS)
+def test_dirichlet_refusals(weights, k, q_cap, error, message):
+    with pytest.raises(error, match=message):
+        dirichlet_approx(weights, k, q_cap)

@@ -260,3 +260,32 @@ class TestAttainment:
         res = attainment_check(SignMatrix(J3), 2, reference=4 / 3)
         assert not res.attained
         assert abs(res.value - 1.0) <= 1e-9
+
+
+# Refusals at the public entry points of relproj: (call, message).
+RELPROJ_REFUSALS = [
+    pytest.param(lambda: nu1([[np.nan, 0.0], [0.0, 1.0]], "l1"),
+                 "nu1 input contains non-finite entries", id="nu1-nan"),
+    pytest.param(lambda: nu1([[np.inf, 0.0], [0.0, 1.0]], "linf"),
+                 "nu1 input contains non-finite entries", id="nu1-inf"),
+    pytest.param(lambda: nu1([[1.0, 0.0]], "l1"),
+                 r"nu1 input must be square, got shape \(1, 2\)",
+                 id="nu1-not-square"),
+    pytest.param(lambda: SubspaceBasis.from_json({"d": 3}),
+                 'basis JSON must have key "columns"', id="json-no-columns"),
+    pytest.param(lambda: SubspaceBasis.from_json(
+        {"d": 3, "columns": [1.0, 0.0, 0.0]}),
+        "basis columns must form a 2-d array", id="json-1d-columns"),
+    pytest.param(lambda: SubspaceBasis.from_json(
+        {"d": 4, "columns": [[1.0, 0.0, 0.0]]}),
+        "basis JSON d does not match columns", id="json-d-mismatch"),
+    pytest.param(lambda: min_projection_norm(SubspaceBasis(np.eye(3)[:, :1]),
+                                             "l2"),
+                 r"space must be one of \('l1', 'linf'\)", id="space-l2"),
+]
+
+
+@pytest.mark.parametrize("call, message", RELPROJ_REFUSALS)
+def test_relproj_refusals(call, message):
+    with pytest.raises(PreconditionError, match=message):
+        call()

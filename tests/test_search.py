@@ -13,7 +13,8 @@ from projconst import (GuardRefusal, PreconditionError, ResourceExhausted,
                        sign_matrix_of)
 from projconst.matcore import _perron_weights
 from projconst.search import (_ascend, _canonical_reps, _check_lanes,
-                              _decode, _two_graph_reps, restart_weights)
+                              _decode, _image_tables, _two_graph_reps,
+                              restart_weights)
 from projconst.seeds import C_ICOSA
 
 PHI = (1 + np.sqrt(5)) / 2
@@ -296,9 +297,23 @@ class TestCanonicalEnumeration:
     def test_image_block_does_not_change_the_classes(self, monkeypatch,
                                                      block):
         # 2^12 entries filter one permutation at a time while more than
-        # 2^11 codes survive; 2^20 takes 32 permutations in the first step
+        # 2^11 codes survive; 2^20 takes 32 permutations in the first step.
+        # The two-graph starts at d = 8 read the cached classes on 7
+        # vertices, so those are recomputed here under the patched block.
         monkeypatch.setattr("projconst.search._IMAGE_BLOCK", block)
         assert _canonical_reps.__wrapped__(6) == _canonical_reps(6)
+        text = ",".join(map(str, _canonical_reps.__wrapped__(7)))
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            CANONICAL_DIGESTS[7]
+
+    def test_image_tables_are_read_only(self):
+        # one cached table build serves both filters, so no caller may
+        # write to it
+        tables = _image_tables(4)
+        assert _image_tables(4) is tables
+        assert not tables.flags.writeable
+        with pytest.raises(ValueError):
+            tables[0, 0, 0] = 0
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7])
     def test_decode_matches_encoding(self, d):
@@ -614,3 +629,19 @@ def test_result_is_kyfan_sum_of_its_weighted_sign_matrix(search, n, d):
     value, p = kyfan_sum(res.S.entries * sq[:, None] * sq[None, :], n)
     assert value == res.value
     assert np.array_equal(p.entries, res.P.entries)
+
+
+# Refusals of alternate_maximize: (n, sign matrix, weights, max_iter,
+# message).
+ALTERNATE_REFUSALS = [
+    (4, HEX_S, np.full(3, 1 / 3), 1, r"n=4 out of range 1\.\.3"),
+    (1, HEX_S, np.full(2, 1 / 2), 1,
+     "weight dimension does not match sign matrix"),
+    (1, HEX_S, np.full(3, 1 / 3), 0, "max_iter must be >= 1"),
+]
+
+
+@pytest.mark.parametrize("n, s, w, max_iter, message", ALTERNATE_REFUSALS)
+def test_alternate_maximize_refusals(n, s, w, max_iter, message):
+    with pytest.raises(PreconditionError, match=message):
+        alternate_maximize(n, SignMatrix(s), WeightVector(w), max_iter)
