@@ -19,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, PreconditionError
-from .matcore import (OrthoProjection, _as_square_array, _entries_of, _kyfan,
-                      eig_sym)
+from .matcore import OrthoProjection, _as_square_array, _kyfan, eig_sym
 
 # Classification tolerances for general spectra: eigenvalues with |Im| at
 # most _REAL_AXIS_TOL count as real; a returned selection must be closed
@@ -52,7 +51,7 @@ class CuccSelection:
 def kyfan_sum(a, n: int) -> tuple[float, OrthoProjection]:
     """Sum of the n largest eigenvalues of a symmetric matrix together
     with the maximizing projection onto the top-n eigenvectors."""
-    m = _as_square_array(_entries_of(a), "kyfan_sum input")
+    m = _as_square_array(a, "kyfan_sum input")
     d = m.shape[0]
     if not (1 <= n <= d):
         raise PreconditionError(f"n={n} out of range 1..{d}")
@@ -74,7 +73,7 @@ def cucc_selection(m, n: int) -> CuccSelection | None:
     each kind are optimal and only j is searched.  The value sums the
     chosen reals by index, then the chosen pairs by index, left to right.
     """
-    a = _as_square_array(_entries_of(m), "cucc_selection input")
+    a = _as_square_array(m, "cucc_selection input")
     d = a.shape[0]
     if not (1 <= n <= d):
         raise PreconditionError(f"n={n} out of range 1..{d}")
@@ -128,7 +127,7 @@ class EqualityCase:
 def equality_case(a, p: OrthoProjection) -> EqualityCase:
     """Diagnose whether Tr(AP) attains the Ky Fan sum and whether A and P
     commute (maximizers always commute), both within 1e-9."""
-    am = _as_square_array(_entries_of(a), "equality_case input")
+    am = _as_square_array(a, "equality_case input")
     pm = p.entries
     if am.shape != pm.shape:
         raise PreconditionError("dimension mismatch between A and P")

@@ -29,6 +29,10 @@ DEFAULT_TOL = 1e-9
 
 
 def _as_square_array(entries, name: str = "matrix") -> np.ndarray:
+    """A matrix value (its entries) or an array-like as a finite, square
+    float array; PreconditionError naming ``name`` otherwise."""
+    if isinstance(entries, (SymMatrix, SignMatrix, OrthoProjection)):
+        entries = entries.entries
     a = np.asarray(entries, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise PreconditionError(f"{name} must be square, got shape {a.shape}")
@@ -182,9 +186,6 @@ class WeightVector:
     def d(self) -> int:
         return self.w.size
 
-    def is_strictly_positive(self) -> bool:
-        return bool(np.all(self.w > 0))
-
 
 _PROJECTION_CHECKS = ("symmetry", "idempotence", "trace equals rank",
                       "eigenvalues in {0,1}")
@@ -276,12 +277,6 @@ class Spectrum:
         return (v * self.eigenvalues) @ v.T
 
 
-def _entries_of(m) -> np.ndarray:
-    if isinstance(m, (SymMatrix, SignMatrix, OrthoProjection)):
-        return m.entries
-    return np.asarray(m, dtype=float)
-
-
 def eig_sym(a) -> Spectrum:
     """Full spectral decomposition of a symmetric matrix.
 
@@ -290,7 +285,7 @@ def eig_sym(a) -> Spectrum:
     positive, which makes the returned spectrum reproducible; this is
     the one place the sign convention lives, as no stack step reads it.
     """
-    m = _as_square_array(_entries_of(a), "eig_sym input")
+    m = _as_square_array(a, "eig_sym input")
     w, v = _eigh(m)
     v = v[:, ::-1]
     lead = np.argmax(np.abs(v) > 1e-9, axis=0)
@@ -302,7 +297,7 @@ def perron(m) -> tuple[float, np.ndarray]:
     """Perron pair (spectral radius, positive unit eigenvector) of a
     strictly positive, exactly symmetric matrix, from its full spectrum
     at every d."""
-    a = _as_square_array(_entries_of(m), "perron input")
+    a = _as_square_array(m, "perron input")
     if not np.all(a > 0):
         raise PreconditionError("perron requires a strictly positive matrix")
     if not np.array_equal(a, a.T):
@@ -319,7 +314,7 @@ def sign_matrix_of(a, tau: float = SIGN_ZERO_TOL) -> SignMatrix:
     An asymmetric input keeps the smaller sign of each pair, so the
     result is symmetric.
     """
-    m = _as_square_array(_entries_of(a), "sign matrix input")
+    m = _as_square_array(a, "sign matrix input")
     _check_tol(tau, "tau")
     return SignMatrix(_signs(m, tau))
 
@@ -327,7 +322,7 @@ def sign_matrix_of(a, tau: float = SIGN_ZERO_TOL) -> SignMatrix:
 def validate_projection(p, n: int, tol: float = DEFAULT_TOL) -> OrthoProjection:
     """Check all orthogonal-projection invariants of ``p`` at tolerance
     ``tol`` and return the typed value; see :class:`OrthoProjection`."""
-    return OrthoProjection(_entries_of(p), n, tol)
+    return OrthoProjection(p, n, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +330,7 @@ def validate_projection(p, n: int, tol: float = DEFAULT_TOL) -> OrthoProjection:
 # repr round-trips bit-exactly, so writers emit full precision.
 
 def matrix_to_json(a) -> dict:
-    m = _as_square_array(_entries_of(a), "matrix")
+    m = _as_square_array(a, "matrix")
     return {"d": int(m.shape[0]), "rows": [list(map(float, row)) for row in m]}
 
 

@@ -26,8 +26,8 @@ from .blowup import BlockProjection
 from .errors import (InvariantViolation, NumericalError, PreconditionError,
                      WitnessConstraintError, WitnessNormalizationError)
 from .eigsum import kyfan_sum
-from .matcore import (OrthoProjection, SignMatrix, _as_square_array,
-                      _entries_of, _freeze, _json_array, _json_int, eig_sym)
+from .matcore import (OrthoProjection, SignMatrix, _as_square_array, _freeze,
+                      _json_array, _json_int, eig_sym)
 
 _SPACES = ("l1", "linf")
 _ATTAINMENT_TOL = 1e-7
@@ -105,7 +105,7 @@ def _check_space(space: str) -> str:
 def nu1(a, space: str) -> float:
     """1-nuclear norm: sum of column-wise max-abs entries for linf,
     sum of row-wise max-abs entries for l1."""
-    m = _as_square_array(_entries_of(a), "nu1 input")
+    m = _as_square_array(a, "nu1 input")
     _check_space(space)
     return _block_nu1(m, np.ones(m.shape[0]), space)
 
@@ -120,7 +120,7 @@ def _block_nu1(alpha: np.ndarray, sizes: np.ndarray, space: str) -> float:
 def operator_norm(q, space: str) -> float:
     """Induced operator norm on l1 (max column abs-sum) or linf (max row
     abs-sum)."""
-    m = np.abs(np.asarray(_entries_of(q), dtype=float))
+    m = np.abs(_as_square_array(q, "operator_norm input"))
     _check_space(space)
     return float(m.sum(axis=0).max() if space == "l1" else m.sum(axis=1).max())
 
@@ -222,7 +222,7 @@ def trace_certificate(a, p, space: str) -> DualityWitness:
     within 1e-8; the value Tr(A~ Pi) = Tr(AP), the correctly rounded sum
     of the diagonal of A~ Pi, is then <= Pi(E).  A dense P has W = I.
     """
-    m = _as_square_array(_entries_of(a), "witness")
+    m = _as_square_array(a, "witness")
     _check_space(space)
     blocks = BlockProjection.of(p)
     core, sizes = blocks.core.entries, blocks.sizes

@@ -37,8 +37,9 @@ batch.  ``alternate_maximize`` is the kernel at B = 1.
 Validation happens once, at the boundary: the kernel checks its inputs,
 and the lane it returns becomes a ``SearchResult`` through the
 ``SignMatrix``, ``WeightVector`` and ``OrthoProjection`` constructors.
-The iterates in between are valid by construction and go unchecked,
-except that a failed Perron solve raises ``NumericalError``.
+The restart weights and the iterates in between are plain arrays, valid
+by construction and unchecked until then, except that a failed Perron
+solve raises ``NumericalError``.
 """
 
 from __future__ import annotations
@@ -242,7 +243,7 @@ def _image_tables(d: int) -> np.ndarray:
     index = np.zeros((d, d), dtype=np.int64)
     index[slots[:, 0], slots[:, 1]] = np.arange(length)
     index += index.T
-    perms = np.array(list(itertools.permutations(range(d))))
+    perms = np.array(list(itertools.permutations(range(d))), dtype=int)
     fixed = np.count_nonzero(perms == np.arange(d), axis=1)
     perms = perms[np.argsort(-fixed, kind="stable")[1:]]  # identity first
     # Slot e sits at bit length-1-e; weight[p, b] is the image of bit b.
@@ -293,10 +294,7 @@ def _canonical_reps(d: int) -> tuple[int, ...]:
     ones with the most fixed points first: the d(d-1)/2 transpositions
     leave about 3,000 of the 2^21 codes at d = 7.
     """
-    length = d * (d - 1) // 2
-    if length == 0:
-        return (0,)
-    codes = np.arange(1 << length, dtype=np.int32)[:, None]
+    codes = np.arange(1 << (d * (d - 1) // 2), dtype=np.int32)[:, None]
     return tuple(map(int, _survivors(_image_tables(d), codes)[:, 0]))
 
 
@@ -314,15 +312,13 @@ def _two_graph_reps(d: int) -> tuple[int, ...]:
     """
     m = d - 1
     length = m * (m - 1) // 2
-    if length == 0:
-        return (0,)
     lower = _canonical_reps(m)
     s = np.ones((len(lower), d, d))
     s[:, 1:, 1:] = _decode(lower, m)
     # Switching row v to +1 makes entry (x, y) s[v, x] s[x, y] s[v, y];
     # rest[v] are the vertices left after deleting v, in order.
     v = np.arange(d)[:, None]
-    rest = np.array([[u for u in range(d) if u != k] for k in range(d)])
+    rest = np.array([np.delete(np.arange(d), k) for k in range(d)])
     i, j = np.triu_indices(m, 1)
     x, y = rest[:, i], rest[:, j]
     bits = (s[:, v, x] * s[:, x, y] * s[:, v, y] > 0).astype(np.int32)
@@ -351,13 +347,14 @@ def _floored_dirichlet(rng: np.random.Generator, d: int) -> np.ndarray:
     return w / w.sum()
 
 
-def restart_weights(d: int, count: int) -> list[WeightVector]:
-    """Deterministic weight restarts: uniform plus count-1 strictly
-    positive pseudo-random simplex points from a fixed seed."""
+def restart_weights(d: int, count: int) -> np.ndarray:
+    """Deterministic weight restarts as a (count, d) array: uniform plus
+    count-1 strictly positive pseudo-random simplex points from a fixed
+    seed.  Plain rows, valid by construction; the weights a search
+    reports are checked once, as its result's WeightVector."""
     rng = np.random.default_rng(_RESTART_SEED)
-    uniform = WeightVector(np.full(d, 1.0 / d))
-    return [uniform] + [WeightVector(_floored_dirichlet(rng, d))
-                        for _ in range(count - 1)]
+    return np.array([np.full(d, 1.0 / d)]
+                    + [_floored_dirichlet(rng, d) for _ in range(count - 1)])
 
 
 def _check_lanes(lanes: int, d: int) -> None:
@@ -408,9 +405,9 @@ def exhaustive_pi(n: int, d: int, restarts: int = 5) -> SearchResult:
     _check_lanes(len(lower) * restarts, d)
     reps = np.ones((len(lower), d, d))
     reps[:, 1:, 1:] = _decode(lower, d - 1)
-    weights = np.stack([w.w for w in restart_weights(d, restarts)])
     return _best_run(n, np.repeat(reps, restarts, axis=0),
-                     np.tile(weights, (len(reps), 1)), _EXHAUSTIVE_MAX_ITER)
+                     np.tile(restart_weights(d, restarts), (len(reps), 1)),
+                     _EXHAUSTIVE_MAX_ITER)
 
 
 def alternating_pi(n: int, d: int, restarts: int = 5) -> SearchResult:

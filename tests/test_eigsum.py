@@ -250,6 +250,10 @@ EIGSUM_REFUSALS = [
                                        validate_projection(np.eye(2), 2)),
                  r"equality_case input must be square, got shape \(2, 3\)",
                  id="equality-case-not-square"),
+    pytest.param(lambda: equality_case(np.eye(2),
+                                       validate_projection(np.eye(3), 3)),
+                 "dimension mismatch between A and P",
+                 id="equality-case-dimension-mismatch"),
     pytest.param(lambda: cucc_selection(np.eye(3), 4),
                  r"n=4 out of range 1\.\.3", id="cucc-n-beyond-d"),
 ]

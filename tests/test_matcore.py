@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from projconst import (InvariantViolation, OrthoProjection,
-                       PreconditionError, SignMatrix, SymMatrix,
+                       PreconditionError, SignMatrix, Spectrum, SymMatrix,
                        WeightVector, certify, eig_sym, matrix_from_json,
                        matrix_to_json, perron, sign_matrix_of,
                        validate_projection)
@@ -122,6 +122,13 @@ class TestPerron:
             assert np.linalg.norm(m @ v - rho * v) <= 1e-10
             assert np.all(v > 0)
             assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
+
+    def test_repairs_a_top_vector_with_a_zero_entry(self):
+        # eigh's top vector is [1, 0]; one application of the matrix makes
+        # it strictly positive, else the call would be refused
+        rho, v = perron([[1.0, 1e-300], [1e-300, 1e-300]])
+        assert rho == 1.0
+        assert np.array_equal(v, [1.0, 1e-300])
 
     def test_large_symmetric(self):
         # d > 512 takes the same eigh path as every smaller d
@@ -256,3 +263,33 @@ def test_matrix_json_roundtrip():
 def test_matrix_json_rejects_bad_shape():
     with pytest.raises(PreconditionError):
         matrix_from_json({"d": 3, "rows": [[1.0, 2.0], [3.0, 4.0]]})
+
+
+# Refusals of the matcore constructors and matrix JSON reader:
+# (call, error, message).
+MATCORE_REFUSALS = [
+    pytest.param(lambda: SignMatrix([[1.0, -1.0], [1.0, 1.0]]),
+                 InvariantViolation, "sign matrix symmetry",
+                 id="sign-matrix-asymmetric"),
+    pytest.param(lambda: WeightVector([]), PreconditionError,
+                 "weights must be a nonempty vector", id="weights-empty"),
+    pytest.param(lambda: OrthoProjection(np.eye(2), 3), PreconditionError,
+                 "rank 3 out of range for d=2", id="projection-rank"),
+    pytest.param(lambda: matrix_from_json([]), PreconditionError,
+                 'must have keys "d" and "rows"', id="json-not-a-dict"),
+    pytest.param(lambda: matrix_from_json({"d": 2}), PreconditionError,
+                 'must have keys "d" and "rows"', id="json-no-rows"),
+    pytest.param(lambda: matrix_from_json({"d": 2, "rows": [[1, 0], [0]]}),
+                 PreconditionError, "rows is not a float array",
+                 id="json-ragged-rows"),
+    pytest.param(lambda: Spectrum(np.ones(2), np.eye(3)), PreconditionError,
+                 "spectrum shape mismatch", id="spectrum-shape"),
+    pytest.param(lambda: Spectrum([1.0, 2.0], np.eye(2)), InvariantViolation,
+                 "eigenvalues sorted descending", id="spectrum-ascending"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", MATCORE_REFUSALS)
+def test_matcore_refusals(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from projconst import (PreconditionError, ResourceExhausted, choose_k,
-                       dirichlet_approx)
+from projconst import (PreconditionError, RationalWeights,
+                       ResourceExhausted, choose_k, dirichlet_approx)
 
 
 class TestChooseK:
@@ -162,3 +162,17 @@ DIRICHLET_REFUSALS = [
 def test_dirichlet_refusals(weights, k, q_cap, error, message):
     with pytest.raises(error, match=message):
         dirichlet_approx(weights, k, q_cap)
+
+
+# Refusals of the RationalWeights constructor: (p, q, message).
+RATIONAL_WEIGHTS_REFUSALS = [
+    pytest.param((1, 1), 3, "multiplicities must sum to q", id="sum-not-q"),
+    pytest.param((0, 2), 2, "multiplicities must be >= 1",
+                 id="zero-multiplicity"),
+]
+
+
+@pytest.mark.parametrize("p, q, message", RATIONAL_WEIGHTS_REFUSALS)
+def test_rational_weights_refusals(p, q, message):
+    with pytest.raises(PreconditionError, match=message):
+        RationalWeights(p, q, 2, 0.0, 0.0)

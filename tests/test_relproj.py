@@ -271,6 +271,15 @@ RELPROJ_REFUSALS = [
     pytest.param(lambda: nu1([[1.0, 0.0]], "l1"),
                  r"nu1 input must be square, got shape \(1, 2\)",
                  id="nu1-not-square"),
+    pytest.param(lambda: operator_norm([[np.nan, 0.0], [0.0, 1.0]], "l1"),
+                 "operator_norm input contains non-finite entries",
+                 id="operator-norm-nan"),
+    pytest.param(lambda: operator_norm(np.ones((2, 3)), "l1"),
+                 r"operator_norm input must be square, got shape \(2, 3\)",
+                 id="operator-norm-not-square"),
+    pytest.param(lambda: SubspaceBasis(np.ones((2, 3))),
+                 r"basis must be d x n with d >= n >= 1, got \(2, 3\)",
+                 id="basis-wide"),
     pytest.param(lambda: SubspaceBasis.from_json({"d": 3}),
                  'basis JSON must have key "columns"', id="json-no-columns"),
     pytest.param(lambda: SubspaceBasis.from_json(
@@ -279,6 +288,9 @@ RELPROJ_REFUSALS = [
     pytest.param(lambda: SubspaceBasis.from_json(
         {"d": 4, "columns": [[1.0, 0.0, 0.0]]}),
         "basis JSON d does not match columns", id="json-d-mismatch"),
+    pytest.param(lambda: SubspaceBasis.from_json(
+        {"n": 3, "columns": [[1, 0, 0], [0, 1, 0]]}),
+        "basis JSON n does not match columns", id="json-n-mismatch"),
     pytest.param(lambda: min_projection_norm(SubspaceBasis(np.eye(3)[:, :1]),
                                              "l2"),
                  r"space must be one of \('l1', 'linf'\)", id="space-l2"),

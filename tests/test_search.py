@@ -336,10 +336,10 @@ class TestCanonicalEnumeration:
     def test_restart_weights_deterministic(self):
         a = restart_weights(4, 5)
         b = restart_weights(4, 5)
-        assert len(a) == 5
-        for x, y in zip(a, b):
-            assert np.array_equal(x.w, y.w)
-            assert x.is_strictly_positive()
+        assert a.shape == (5, 4)
+        assert np.array_equal(a, b)
+        assert np.all(a > 0)
+        assert np.all(np.abs(a.sum(axis=1) - 1.0) <= 1e-12)
 
 
 class TestTwoGraphStarts:
@@ -575,7 +575,8 @@ class TestAscentKernel:
         # each lane the bits of its start run alone; at max_iter = 3 the
         # batch mixes converged lanes with lanes that ran out of iterations
         n, d = 2, 5
-        starts = [(SignMatrix(s), w) for s in _decode(_canonical_reps(d), d)
+        starts = [(SignMatrix(s), WeightVector(w))
+                  for s in _decode(_canonical_reps(d), d)
                   for w in restart_weights(d, 5)]
         lanes = _ascend(n, np.stack([s.entries for s, _ in starts]),
                         np.stack([w.w for _, w in starts]), max_iter)
