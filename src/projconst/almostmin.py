@@ -35,8 +35,7 @@ import numpy as np
 from .blowup import BlockProjection, BlowupSpec, blow_up
 from .errors import PreconditionError, WitnessConstraintError
 from .matcore import (SIGN_ZERO_TOL, OrthoProjection, SignMatrix, _kyfan,
-                      _perron_weights, _signs, matrix_to_json, perron,
-                      sign_matrix_of)
+                      _perron_pairs, _perron_weights, _signs, matrix_to_json)
 from .rationalize import choose_k, dirichlet_approx
 from .relproj import trace_certificate
 
@@ -162,8 +161,10 @@ def certify(p: OrthoProjection | BlockProjection) -> Certificate:
     lower: float | None = None
     kind: str | None = None
     if blocks.core.abs_is_positive():
-        rho, v = perron(a)
-        signs = sign_matrix_of(blocks.core).entries
+        # The checked core with positive |Pi| needs no check again.
+        rhos, vs = _perron_pairs(a[None])
+        rho, v = float(rhos[0]), vs[0]
+        signs = _signs(blocks.core.entries, SIGN_ZERO_TOL)
         # Perron vector J v of |P|: block i holds v_i / sqrt(p_i).
         weights = v * v / sizes
         weights = weights / (sizes * weights).sum()
@@ -251,7 +252,7 @@ def almost_minimal(n: int, eps: float, seed: OrthoProjection) -> PipelineResult:
             f"seed has rank {seed.n}, expected n={n}")
     m = seed.d
     weights = _perron_weights(seed.abs_entries()[None])[0]
-    s = sign_matrix_of(seed).entries
+    s = _signs(seed.entries, SIGN_ZERO_TOL)
     seed_gap = float(np.abs(_lift(s, weights, n) - seed.entries).max())
     eps0 = float(weights.min())
     k = choose_k(n, m, eta, eps0)

@@ -38,20 +38,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PreconditionError, ResourceExhausted
-from .matcore import OrthoProjection, SignMatrix, SymMatrix
-
-_DENSE_SIZE_LIMIT = 4096
+from .errors import PreconditionError
+from .matcore import OrthoProjection, SignMatrix, SymMatrix, _check_entries
 
 
 def _dense(values: np.ndarray, p: tuple[int, ...]) -> np.ndarray:
     """The d x d matrix, d = sum(p), whose block (i, j) is constantly
-    values[i, j]; refuses d above the cap before allocating."""
+    values[i, j]; refuses d above 4096 before allocating."""
     d = sum(p)
-    if d > _DENSE_SIZE_LIMIT:
-        raise ResourceExhausted(
-            f"a dense {d} x {d} matrix exceeds the cap {_DENSE_SIZE_LIMIT}; "
-            f"the block form has no cap")
+    _check_entries(d * d, f"the {d * d} entries of a dense {d} x {d} "
+                          f"matrix (d <= 4096; the block form has no cap)")
     p = np.asarray(p)
     return np.repeat(np.repeat(values, p, axis=0), p, axis=1)
 

@@ -2,8 +2,8 @@
 
 Data goes to standard output as JSON (full float precision, bit-exact on
 re-parse); human-readable summaries go to standard error so pipelines
-stay clean.  Exit codes: 0 success, 1 usage/input error, 2 guard refusal,
-3 resource error.
+stay clean.  Exit codes: 0 success, 1 usage/input error; a package error
+exits with the ``exit_code`` its type owns (see ``errors``): 1, 2 or 3.
 """
 
 from __future__ import annotations
@@ -17,16 +17,10 @@ import sys
 import numpy as np
 
 from . import almostmin, blowup, rationalize, relproj, search, seeds
-from .errors import (GuardRefusal, PreconditionError, ProjconstError,
-                     ResourceExhausted)
+from .errors import PreconditionError, ProjconstError
 from .eigsum import cucc_selection
 from .matcore import (_as_square_array, _json_array, matrix_from_json,
                       matrix_to_json, sign_matrix_of, validate_projection)
-
-EXIT_OK = 0
-EXIT_USAGE = 1
-EXIT_GUARD = 2
-EXIT_RESOURCE = 3
 
 # A search value this close to etf_bound attains it, so it is Pi(n, d).
 _ATTAINED_TOL = 1e-12
@@ -36,7 +30,7 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        raise SystemExit(1)
 
 
 def _note(msg: str) -> None:
@@ -260,21 +254,15 @@ def main(argv=None) -> int:
         if args.out:
             with open(args.out, "w") as fh:
                 fh.write(text + "\n")
-    except GuardRefusal as exc:
-        _note(f"refused: {exc}")
-        return EXIT_GUARD
-    except ResourceExhausted as exc:
-        _note(f"resource error: {exc}")
-        return EXIT_RESOURCE
     except ProjconstError as exc:
-        _note(f"error: {exc}")
-        return EXIT_USAGE
+        _note(f"{exc.label}: {exc}")
+        return exc.exit_code
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         _note(f"input error: {exc}")
-        return EXIT_USAGE
+        return 1
     print(text)
     _note(note)
-    return EXIT_OK
+    return 0
 
 
 if __name__ == "__main__":

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, PreconditionError
-from .matcore import OrthoProjection, _as_square_array, _kyfan, eig_sym
+from .matcore import (OrthoProjection, _as_square_array, _check_rank, _eigh,
+                      _kyfan)
 
 # Classification tolerances for general spectra: eigenvalues with |Im| at
 # most _REAL_AXIS_TOL count as real; a returned selection must be closed
@@ -52,9 +53,7 @@ def kyfan_sum(a, n: int) -> tuple[float, OrthoProjection]:
     """Sum of the n largest eigenvalues of a symmetric matrix together
     with the maximizing projection onto the top-n eigenvectors."""
     m = _as_square_array(a, "kyfan_sum input")
-    d = m.shape[0]
-    if not (1 <= n <= d):
-        raise PreconditionError(f"n={n} out of range 1..{d}")
+    _check_rank(n, m.shape[0])
     w, p = _kyfan(m, n)
     return float(np.sum(w[:n])), OrthoProjection(p, n)
 
@@ -74,15 +73,11 @@ def cucc_selection(m, n: int) -> CuccSelection | None:
     chosen reals by index, then the chosen pairs by index, left to right.
     """
     a = _as_square_array(m, "cucc_selection input")
-    d = a.shape[0]
-    if not (1 <= n <= d):
-        raise PreconditionError(f"n={n} out of range 1..{d}")
+    _check_rank(n, a.shape[0])
     if np.array_equal(a, a.T):
-        spec = eig_sym(a)
-        value = float(np.sum(spec.eigenvalues[:n]))
-        return CuccSelection(tuple(range(n)),
-                             tuple(complex(x) for x in spec.eigenvalues[:n]),
-                             value)
+        top = _eigh(a)[0][::-1][:n].copy()
+        return CuccSelection(tuple(range(n)), tuple(map(complex, top)),
+                             float(np.sum(top)))
     evals = np.linalg.eigvals(a)
     real = evals.real
     reals = np.flatnonzero(np.abs(evals.imag) <= _REAL_AXIS_TOL)
@@ -133,7 +128,7 @@ def equality_case(a, p: OrthoProjection) -> EqualityCase:
         raise PreconditionError("dimension mismatch between A and P")
     commutes = float(np.abs(am @ pm - pm @ am).max()) <= _EQUALITY_TOL
     value = float(np.trace(am @ pm))
-    target = float(np.sum(eig_sym(am).eigenvalues[:p.n]))
+    target = float(np.sum(_eigh(am)[0][::-1][:p.n].copy()))
     return EqualityCase(commutes, abs(value - target) <= _EQUALITY_TOL)
 
 
@@ -157,8 +152,7 @@ def spectral_gap_bound(p: OrthoProjection) -> GapBound:
     absp = p.abs_entries()
     if not np.all(absp > 0):
         raise PreconditionError("spectral gap bound requires positive |P|")
-    evals = eig_sym(absp).eigenvalues
-    lam1, lam2 = float(evals[0]), float(evals[1])
+    lam2, lam1 = map(float, _eigh(absp)[0][-2:])
     sqrt_n = float(np.sqrt(p.n))
     applicable = lam1 > (np.sqrt(3.0) - 1.0) * sqrt_n
     bound = sqrt_n / lam1 - lam1 / (2.0 * sqrt_n)

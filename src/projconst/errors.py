@@ -1,9 +1,10 @@
 """Exception taxonomy shared by all modules.
 
-The CLI maps these onto exit codes: PreconditionError / InvariantViolation
-and friends are usage or input errors (exit 1), GuardRefusal is a refused
-oversized request (exit 2), ResourceExhausted is a blown resource budget
-(exit 3).
+Each type owns its CLI exit code and stderr label, ``exit_code`` and
+``label``: PreconditionError / InvariantViolation and friends are usage
+or input errors (1, "error"), GuardRefusal is a refused oversized
+request (2, "refused"), ResourceExhausted is a blown resource budget
+(3, "resource error").
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 class ProjconstError(Exception):
     """Base class for all errors raised by this package."""
+    exit_code, label = 1, "error"
 
 
 class PreconditionError(ProjconstError):
@@ -38,6 +40,7 @@ class InvariantViolation(ProjconstError):
 
 class GuardRefusal(ProjconstError):
     """A request was refused because it exceeds a hard size guard."""
+    exit_code, label = 2, "refused"
 
     def __init__(self, message: str, candidates: int | None = None):
         self.candidates = candidates
@@ -46,6 +49,7 @@ class GuardRefusal(ProjconstError):
 
 class ResourceExhausted(ProjconstError):
     """A bounded scan or cap was exhausted before finding a result."""
+    exit_code, label = 3, "resource error"
 
     def __init__(self, message: str, best_q: int | None = None,
                  best_err: float | None = None):

@@ -4,7 +4,8 @@ Provides the matrix classes used everywhere else (symmetric matrices, sign
 matrices, simplex weight vectors, rank-n orthogonal projections, spectra)
 together with the spectral primitives: a deterministic symmetric
 eigensolver wrapper, Perron pairs of positive matrices, sign matrices of
-thresholded signs, and projection validation.
+thresholded signs, projection validation, and the two checks every
+engine shares: the 2^24-entry budget and the rank range n in 1..d.
 Every spectral primitive takes the same dense LAPACK path at every d.
 The search and the almost-minimal pipeline share two stack steps, the
 rank-n Ky Fan maximizer and the Perron weights, implemented once here.
@@ -19,13 +20,29 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .errors import InvariantViolation, NumericalError, PreconditionError
+from .errors import (InvariantViolation, NumericalError, PreconditionError,
+                     ResourceExhausted)
 
 # Zero threshold for sign patterns.  The exact-arithmetic notion of a zero
 # entry needs a cutoff in floating point; overridable per call.
 SIGN_ZERO_TOL = 1e-9
 
 DEFAULT_TOL = 1e-9
+
+# Entries of the largest array allocated: a search's sign stack, a dense
+# d x d matrix (so d <= 4096) or the relproj LP's constraint matrix.
+_ENTRY_BUDGET = 1 << 24
+
+
+def _check_entries(count: int, what: str) -> None:
+    """Refuse ``count`` entries, named by ``what``, before allocating."""
+    if count > _ENTRY_BUDGET:
+        raise ResourceExhausted(f"{what} exceed the 2^24-entry budget")
+
+
+def _check_rank(n: int, d: int) -> None:
+    if not 1 <= n <= d:
+        raise PreconditionError(f"n={n} out of range 1..{d}")
 
 
 def _as_square_array(entries, name: str = "matrix") -> np.ndarray:

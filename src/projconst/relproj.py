@@ -26,8 +26,9 @@ from .blowup import BlockProjection
 from .errors import (InvariantViolation, NumericalError, PreconditionError,
                      WitnessConstraintError, WitnessNormalizationError)
 from .eigsum import kyfan_sum
-from .matcore import (OrthoProjection, SignMatrix, _as_square_array, _freeze,
-                      _json_array, _json_int, eig_sym)
+from .matcore import (OrthoProjection, SignMatrix, _as_square_array,
+                      _check_entries, _eigh, _freeze, _json_array, _json_int,
+                      eig_sym)
 
 _SPACES = ("l1", "linf")
 _ATTAINMENT_TOL = 1e-7
@@ -157,12 +158,16 @@ def min_projection_norm(basis: SubspaceBasis, space: str) -> LpProjection:
     starts from that basis at ||P||.  The duals of the first d^2 rows,
     reshaped to d x d and transposed, are the witness A: the dual
     constraints give nu1(A) <= 1 and AP = PAP, and strong duality gives
-    Tr(AP) = value.
+    Tr(AP) = value.  An LP whose constraint matrix exceeds the 2^24-entry
+    budget (from d = 51 at n = d/2) is refused before anything is built.
     """
     _check_space(space)
     v = basis.V
     d, n = basis.d, basis.n
     nb = d * d
+    rows, cols = nb + d, 2 * n * (d - n) + 2 * nb + d + 1
+    _check_entries(rows * cols, f"relproj refused: the {rows * cols} entries "
+                                f"of the {rows} x {cols} LP")
     basis_q, _ = np.linalg.qr(v, mode="complete")
     u, k = basis_q[:, :n], basis_q[:, n:]
     p = u @ u.T
@@ -274,7 +279,7 @@ def attainment_check(s: SignMatrix, n: int,
     basis = SubspaceBasis(eig_sym(s.entries).eigenvectors[:, :n])
     op = operator_norm(p.entries, "l1")
     lp_value = min_projection_norm(basis, "l1").value
-    rho = float(eig_sym(p.abs_entries()).eigenvalues[0])
+    rho = float(_eigh(p.abs_entries())[0][-1])
     mean_abs = float(np.abs(p.entries).sum()) / d
     quantities = (op, lp_value, rho, mean_abs)
     equalities = max(quantities) - min(quantities) <= _ATTAINMENT_TOL

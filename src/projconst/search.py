@@ -34,12 +34,13 @@ and the almost-minimal pipeline apply to one matrix, and every lane gets
 the same bits as its start run alone, so results do not depend on the
 batch.  ``alternate_maximize`` is the kernel at B = 1.
 
-Validation happens once, at the boundary: the kernel checks its inputs,
-and the lane it returns becomes a ``SearchResult`` through the
-``SignMatrix``, ``WeightVector`` and ``OrthoProjection`` constructors.
-The restart weights and the iterates in between are plain arrays, valid
-by construction and unchecked until then, except that a failed Perron
-solve raises ``NumericalError``.
+Validation happens once, at the boundary: the kernel trusts its
+callers, ``alternate_maximize`` checks the start it is given, the
+drivers check n and restarts before they draw starts that are valid by
+construction, and the lane a search returns becomes a ``SearchResult``
+through the ``SignMatrix``, ``WeightVector`` and ``OrthoProjection``
+constructors.  The iterates in between are plain arrays, unchecked,
+except that a failed Perron solve raises ``NumericalError``.
 """
 
 from __future__ import annotations
@@ -51,10 +52,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .blowup import _DENSE_SIZE_LIMIT
-from .errors import GuardRefusal, PreconditionError, ResourceExhausted
+from .errors import GuardRefusal, PreconditionError
 from .matcore import (SIGN_ZERO_TOL, OrthoProjection, SignMatrix, WeightVector,
-                      _kyfan, _perron_weights, _signs, matrix_to_json)
+                      _check_entries, _check_rank, _kyfan, _perron_weights,
+                      _signs, matrix_to_json)
 
 EXHAUSTIVE_MAX_D = 8
 _RESTART_SEED = 20240913
@@ -63,9 +64,6 @@ _EXHAUSTIVE_MAX_ITER = 100
 _ALTERNATING_MAX_ITER = 200
 _VALUE_TOL = 1e-11
 _FIXED_POINT_WEIGHT_TOL = 1e-12
-# Entries of the (lanes, d, d) sign stack of one search: one dense matrix
-# at blowup's d <= 4096 cap.
-_LANE_ENTRY_BUDGET = _DENSE_SIZE_LIMIT ** 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,8 +108,7 @@ def etf_bound(n: int, d: int) -> float:
     """Upper bound n/d + sqrt(n(d-1)(d-n))/d on Pi(n, d), attained exactly
     when d equiangular unit vectors form a tight frame of R^n (Koenig,
     Lewis and Lin 1983)."""
-    if not (1 <= n <= d):
-        raise PreconditionError(f"n={n} out of range 1..d (d={d})")
+    _check_rank(n, d)
     return float(n / d + np.sqrt(n * (d - 1) * (d - n)) / d)
 
 
@@ -120,6 +117,13 @@ def alternate_maximize(n: int, s0: SignMatrix, d0: WeightVector,
     """Alternating ascent from (s0, d0); see the module docstring for the
     update steps.  Non-convergence within max_iter is reported via
     converged=False, never raised."""
+    _check_rank(n, s0.d)
+    if d0.d != s0.d:
+        raise PreconditionError("weight dimension does not match sign matrix")
+    if not np.all(d0.w > 0):
+        raise PreconditionError("initial weights must be strictly positive")
+    if max_iter < 1:
+        raise PreconditionError("max_iter must be >= 1")
     return _ascend(n, s0.entries[None], d0.w[None], max_iter).result(0)
 
 
@@ -157,19 +161,11 @@ def _ascend(n: int, s: np.ndarray, w: np.ndarray, max_iter: int) -> _Lanes:
     and drops those that reached a fixed point or stopped improving.
     The steps are the stack steps of kyfan_sum, sign_matrix_of and the
     pipeline's Perron weights, so every lane gets the bits it gets alone.
-    The inputs are checked here and each lane again as it becomes a
-    SearchResult, not on every iteration.
+    The kernel checks nothing: its callers pass 1 <= n <= d, strictly
+    positive weights and max_iter >= 1, and each lane is checked as it
+    becomes a SearchResult.
     """
     b, d = s.shape[0], s.shape[-1]
-    if not (1 <= n <= d):
-        raise PreconditionError(f"n={n} out of range 1..{d}")
-    if w.shape[-1] != d:
-        raise PreconditionError("weight dimension does not match sign matrix")
-    if not np.all(w > 0):
-        raise PreconditionError("initial weights must be strictly positive")
-    if max_iter < 1:
-        raise PreconditionError("max_iter must be >= 1")
-
     out = _Lanes(n, np.empty(b), np.empty((b, d, d)), np.empty((b, d)),
                  np.empty((b, d, d)), np.zeros(b, dtype=int),
                  np.zeros(b, dtype=bool), np.full((b, max_iter), np.nan))
@@ -358,12 +354,10 @@ def restart_weights(d: int, count: int) -> np.ndarray:
 
 
 def _check_lanes(lanes: int, d: int) -> None:
-    """Refuse a search whose lanes x d x d sign stack exceeds
-    _LANE_ENTRY_BUDGET entries, before anything is drawn or allocated."""
-    if lanes * d * d > _LANE_ENTRY_BUDGET:
-        raise ResourceExhausted(
-            f"search refused: {lanes} ascent lanes of {d} x {d} sign "
-            f"matrices exceed the 2^24-entry budget")
+    """Refuse a search whose lanes x d x d sign stack exceeds the entry
+    budget, before anything is drawn or allocated."""
+    _check_entries(lanes * d * d, f"search refused: {lanes} ascent lanes "
+                                  f"of {d} x {d} sign matrices")
 
 
 def _best_run(n: int, s: np.ndarray, w: np.ndarray,
@@ -388,8 +382,7 @@ def exhaustive_pi(n: int, d: int, restarts: int = 5) -> SearchResult:
     Raises ResourceExhausted before any draw when the starts x restarts
     lanes of d x d signs exceed 2^24 entries.
     """
-    if not (1 <= n <= d):
-        raise PreconditionError(f"n={n} out of range 1..{d}")
+    _check_rank(n, d)
     if restarts < 1:
         raise PreconditionError("restarts must be >= 1")
     if d > EXHAUSTIVE_MAX_D:
@@ -421,8 +414,7 @@ def alternating_pi(n: int, d: int, restarts: int = 5) -> SearchResult:
     """
     if restarts < 1:
         raise PreconditionError("restarts must be >= 1")
-    if not (1 <= n <= d):
-        raise PreconditionError(f"n={n} out of range 1..d (d={d})")
+    _check_rank(n, d)
     _check_lanes(restarts, d)
     rng = np.random.default_rng(_RESTART_SEED)
     s = np.empty((restarts, d, d))

@@ -292,6 +292,20 @@ def test_relproj_pivot_cap_is_a_resource_error(tmp_path, capsys,
     assert err == "resource error: simplex pivot cap exceeded\n"
 
 
+def test_relproj_above_entry_budget_is_a_resource_error(tmp_path, capsys):
+    # (64, 32): a 4160 x 10305 LP, 42.9M entries above the 2^24 budget
+    v = np.random.default_rng(64).standard_normal((64, 32))
+    basis_file = tmp_path / "basis-64-32.json"
+    basis_file.write_text(json.dumps(
+        {"d": 64, "n": 32, "columns": v.T.tolist()}))
+    code, out, err = run_cli(capsys, "relproj", "--space", "l1",
+                             "--basis", str(basis_file))
+    assert code == 3
+    assert out == ""
+    assert err == ("resource error: relproj refused: the 42868800 entries "
+                   "of the 4160 x 10305 LP exceed the 2^24-entry budget\n")
+
+
 def test_relproj_coordinate_line_linf(tmp_path, capsys):
     basis_file = tmp_path / "e1.json"
     basis_file.write_text(json.dumps(
@@ -608,7 +622,7 @@ def test_search_alternating_rejects_bad_d(capsys, d):
                              "--alternating")
     assert code == 1
     assert out == ""
-    assert f"n=2 out of range 1..d (d={d})" in err
+    assert f"n=2 out of range 1..{d}" in err
 
 
 def test_out_file_matches_stdout(tmp_path, capsys):
@@ -756,3 +770,36 @@ def test_json_roundtrip_bit_exact(capsys):
     assert np.array_equal(p, np.asarray(json.loads(json.dumps(data))["P"]))
     from projconst.seeds import icosa6
     assert np.abs(p - icosa6().entries).max() <= 1e-12
+
+
+# Each package error type owns its exit code and stderr label, and main
+# returns and prints exactly those; OSError and ValueError are input
+# errors: (raised exception, exit code, label).
+EXIT_CODES = [
+    (projconst.PreconditionError("p"), 1, "error"),
+    (projconst.InvariantViolation("i"), 1, "error"),
+    (projconst.NumericalError("n"), 1, "error"),
+    (projconst.WitnessNormalizationError("w"), 1, "error"),
+    (projconst.WitnessConstraintError("w"), 1, "error"),
+    (projconst.GuardRefusal("g"), 2, "refused"),
+    (projconst.ResourceExhausted("r"), 3, "resource error"),
+    (OSError("o"), 1, "input error"),
+    (ValueError("v"), 1, "input error"),
+]
+
+
+@pytest.mark.parametrize("exc, code, label", EXIT_CODES,
+                         ids=lambda x: type(x).__name__
+                         if isinstance(x, Exception) else None)
+def test_exit_code_of_each_error_type(capsys, monkeypatch, exc, code, label):
+    if isinstance(exc, projconst.ProjconstError):
+        assert (exc.exit_code, exc.label) == (code, label)
+
+    def certify(p):
+        raise exc
+
+    # the cached parser holds _cmd_certify itself, which looks certify up
+    # on the almostmin module at each call
+    monkeypatch.setattr("projconst.almostmin.certify", certify)
+    assert run_cli(capsys, "certify", "--seed", "hex3") == (
+        code, "", f"{label}: {exc}\n")

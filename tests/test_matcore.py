@@ -5,7 +5,9 @@ import pytest
 
 from projconst import (InvariantViolation, OrthoProjection,
                        PreconditionError, SignMatrix, Spectrum, SymMatrix,
-                       WeightVector, certify, eig_sym, matrix_from_json,
+                       WeightVector, alternate_maximize, alternating_pi,
+                       certify, cucc_selection, eig_sym, etf_bound,
+                       exhaustive_pi, kyfan_sum, matrix_from_json,
                        matrix_to_json, perron, sign_matrix_of,
                        validate_projection)
 from projconst.seeds import icosa6
@@ -293,3 +295,26 @@ MATCORE_REFUSALS = [
 def test_matcore_refusals(call, error, message):
     with pytest.raises(error, match=message):
         call()
+
+
+# Every entry point that takes a rank n of a d-dimensional problem refuses
+# n outside 1..d through matcore's one rank check, with one message:
+# (call of n at d = 3).
+RANK_CHECKED = [
+    pytest.param(lambda n: etf_bound(n, 3), id="etf_bound"),
+    pytest.param(lambda n: exhaustive_pi(n, 3), id="exhaustive_pi"),
+    pytest.param(lambda n: alternating_pi(n, 3), id="alternating_pi"),
+    pytest.param(lambda n: alternate_maximize(
+        n, SignMatrix(2 * np.eye(3) - J3), WeightVector(np.full(3, 1 / 3))),
+        id="alternate_maximize"),
+    pytest.param(lambda n: kyfan_sum(np.eye(3), n), id="kyfan_sum"),
+    pytest.param(lambda n: cucc_selection(np.eye(3), n), id="cucc_selection"),
+]
+
+
+@pytest.mark.parametrize("n", [0, 4])
+@pytest.mark.parametrize("call", RANK_CHECKED)
+def test_rank_refusals(call, n):
+    with pytest.raises(PreconditionError,
+                       match=rf"^n={n} out of range 1\.\.3$"):
+        call(n)

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from projconst import (InvariantViolation, PreconditionError, SignMatrix,
-                       SubspaceBasis, WitnessConstraintError,
+from projconst import (InvariantViolation, PreconditionError,
+                       ResourceExhausted, SignMatrix, SubspaceBasis,
+                       WitnessConstraintError,
                        WitnessNormalizationError,
                        attainment_check, eig_sym, min_projection_norm, nu1,
                        operator_norm, trace_certificate)
@@ -301,3 +302,39 @@ RELPROJ_REFUSALS = [
 def test_relproj_refusals(call, message):
     with pytest.raises(PreconditionError, match=message):
         call()
+
+
+class _Built(Exception):
+    """Raised by the patched np.kron: the LP build has started."""
+
+
+@pytest.fixture
+def kron_raises(monkeypatch):
+    def kron(*args):
+        raise _Built
+
+    monkeypatch.setattr(np, "kron", kron)
+
+
+def random_basis(d, n):
+    return SubspaceBasis(np.random.default_rng(d).standard_normal((d, n)))
+
+
+@pytest.mark.parametrize("d, n, rows, cols", [(51, 25, 2652, 6554),
+                                              (64, 32, 4160, 10305)])
+def test_lp_above_entry_budget_refused_before_building(kron_raises, d, n,
+                                                       rows, cols):
+    # (d^2 + d) x (2n(d - n) + 2d^2 + d + 1) constraint entries above 2^24
+    # are refused before the first np.kron, so nothing of that size is built
+    with pytest.raises(ResourceExhausted,
+                       match=rf"^relproj refused: the {rows * cols} entries "
+                             rf"of the {rows} x {cols} LP exceed the "
+                             rf"2\^24-entry budget$"):
+        min_projection_norm(random_basis(d, n), "l1")
+
+
+@pytest.mark.parametrize("d, n", [(50, 25), (32, 16), (28, 7)])
+def test_lp_within_entry_budget_is_built(kron_raises, d, n):
+    # (50, 25) has 16,067,550 entries, the largest n = d/2 LP under 2^24
+    with pytest.raises(_Built):
+        min_projection_norm(random_basis(d, n), "linf")

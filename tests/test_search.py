@@ -533,7 +533,8 @@ class TestClosedForms:
 
     @pytest.mark.parametrize("n, d", [(0, 3), (4, 3), (1, 0)])
     def test_etf_bound_rejects_n_outside_1_to_d(self, n, d):
-        with pytest.raises(PreconditionError, match=f"n={n} .*d={d}"):
+        with pytest.raises(PreconditionError,
+                           match=rf"n={n} out of range 1\.\.{d}$"):
             etf_bound(n, d)
 
     def test_three_in_five(self):
@@ -564,7 +565,8 @@ class TestAlternating:
 
     @pytest.mark.parametrize("n, d", [(2, 0), (2, -1), (5, 4), (0, 3)])
     def test_rejects_n_outside_1_to_d(self, n, d):
-        with pytest.raises(PreconditionError, match=f"n={n} .*d={d}"):
+        with pytest.raises(PreconditionError,
+                           match=rf"n={n} out of range 1\.\.{d}$"):
             alternating_pi(n, d)
 
 
@@ -639,6 +641,9 @@ ALTERNATE_REFUSALS = [
     (1, HEX_S, np.full(2, 1 / 2), 1,
      "weight dimension does not match sign matrix"),
     (1, HEX_S, np.full(3, 1 / 3), 0, "max_iter must be >= 1"),
+    # WeightVector admits a zero weight; only alternate_maximize refuses it
+    (1, HEX_S, np.array([0.5, 0.5, 0.0]), 1,
+     "initial weights must be strictly positive"),
 ]
 
 
