@@ -13,9 +13,9 @@ from .blowup import BlockProjection, BlowupSpec, blow_up, weighted_equivalent
 from .eigsum import (CuccSelection, EqualityCase, GapBound, cucc_selection,
                      equality_case, kyfan_sum, pi_n_general,
                      spectral_gap_bound)
-from .errors import (GuardRefusal, InvariantViolation, NumericalError,
-                     PreconditionError, ProjconstError, ResourceExhausted,
-                     WitnessConstraintError, WitnessNormalizationError)
+from .errors import (InvariantViolation, NumericalError, PreconditionError,
+                     ProjconstError, ResourceExhausted, WitnessConstraintError,
+                     WitnessNormalizationError)
 from .matcore import (OrthoProjection, SignMatrix, Spectrum, SymMatrix,
                       WeightVector, eig_sym, matrix_from_json, matrix_to_json,
                       perron, sign_matrix_of, validate_projection)
@@ -32,7 +32,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AttainmentResult", "BlockProjection", "BlowupSpec", "C_ICOSA",
     "Certificate", "CuccSelection", "DualityWitness", "EqualityCase",
-    "GapBound", "GuardRefusal", "InvariantViolation", "LpProjection",
+    "GapBound", "InvariantViolation", "LpProjection",
     "NumericalError", "OrthoProjection", "PipelineResult", "PreconditionError",
     "ProjconstError", "RationalWeights", "ResourceExhausted",
     "SEEDS", "SearchResult", "SignMatrix", "Spectrum",

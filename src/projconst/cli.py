@@ -2,8 +2,9 @@
 
 Data goes to standard output as JSON (full float precision, bit-exact on
 re-parse); human-readable summaries go to standard error so pipelines
-stay clean.  Exit codes: 0 success, 1 usage/input error; a package error
-exits with the ``exit_code`` its type owns (see ``errors``): 1, 2 or 3.
+stay clean.  Exit codes: 0 success, 1 usage/input error, 3 oversized
+request or exhausted resource; a package error exits with the
+``exit_code`` its type owns (see ``errors``).
 """
 
 from __future__ import annotations

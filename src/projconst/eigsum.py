@@ -149,10 +149,9 @@ def spectral_gap_bound(p: OrthoProjection) -> GapBound:
     """
     if p.n < 2:
         raise PreconditionError("spectral gap bound requires rank n >= 2")
-    absp = p.abs_entries()
-    if not np.all(absp > 0):
+    if not p.abs_is_positive():
         raise PreconditionError("spectral gap bound requires positive |P|")
-    lam2, lam1 = map(float, _eigh(absp)[0][-2:])
+    lam2, lam1 = map(float, _eigh(p.abs_entries())[0][-2:])
     sqrt_n = float(np.sqrt(p.n))
     applicable = lam1 > (np.sqrt(3.0) - 1.0) * sqrt_n
     bound = sqrt_n / lam1 - lam1 / (2.0 * sqrt_n)

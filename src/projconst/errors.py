@@ -2,9 +2,8 @@
 
 Each type owns its CLI exit code and stderr label, ``exit_code`` and
 ``label``: PreconditionError / InvariantViolation and friends are usage
-or input errors (1, "error"), GuardRefusal is a refused oversized
-request (2, "refused"), ResourceExhausted is a blown resource budget
-(3, "resource error").
+or input errors (1, "error"), ResourceExhausted is an oversized request
+or a blown resource budget (3, "resource error").
 """
 
 from __future__ import annotations
@@ -36,15 +35,6 @@ class InvariantViolation(ProjconstError):
         if detail:
             msg += f" — {detail}"
         super().__init__(msg)
-
-
-class GuardRefusal(ProjconstError):
-    """A request was refused because it exceeds a hard size guard."""
-    exit_code, label = 2, "refused"
-
-    def __init__(self, message: str, candidates: int | None = None):
-        self.candidates = candidates
-        super().__init__(message)
 
 
 class ResourceExhausted(ProjconstError):

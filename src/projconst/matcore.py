@@ -29,8 +29,9 @@ SIGN_ZERO_TOL = 1e-9
 
 DEFAULT_TOL = 1e-9
 
-# Entries of the largest array allocated: a search's sign stack, a dense
-# d x d matrix (so d <= 4096) or the relproj LP's constraint matrix.
+# Entries of the largest array allocated: a search's sign stack, the codes
+# of the graphs on d vertices it enumerates (so d <= 7), a dense d x d
+# matrix (so d <= 4096) or the relproj LP's constraint matrix.
 _ENTRY_BUDGET = 1 << 24
 
 

@@ -25,7 +25,6 @@ from ._simplex import solve_lp
 from .blowup import BlockProjection
 from .errors import (InvariantViolation, NumericalError, PreconditionError,
                      WitnessConstraintError, WitnessNormalizationError)
-from .eigsum import kyfan_sum
 from .matcore import (OrthoProjection, SignMatrix, _as_square_array,
                       _check_entries, _eigh, _freeze, _json_array, _json_int,
                       eig_sym)
@@ -274,9 +273,11 @@ def attainment_check(s: SignMatrix, n: int,
     requires value >= reference - 1e-7; the equalities hold within 1e-7.
     """
     d = s.d
-    ky_value, p = kyfan_sum(s, n)
-    value = ky_value / d
-    basis = SubspaceBasis(eig_sym(s.entries).eigenvectors[:, :n])
+    spectrum = eig_sym(s.entries)
+    top = spectrum.eigenvectors[:, :n]
+    p = OrthoProjection(top @ top.T, n)
+    value = float(np.sum(spectrum.eigenvalues[:n])) / d
+    basis = SubspaceBasis(top)
     op = operator_norm(p.entries, "l1")
     lp_value = min_projection_norm(basis, "l1").value
     rho = float(_eigh(p.abs_entries())[0][-1])

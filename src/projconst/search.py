@@ -52,12 +52,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import GuardRefusal, PreconditionError
+from .errors import PreconditionError
 from .matcore import (SIGN_ZERO_TOL, OrthoProjection, SignMatrix, WeightVector,
                       _check_entries, _check_rank, _kyfan, _perron_weights,
                       _signs, matrix_to_json)
 
-EXHAUSTIVE_MAX_D = 8
 _RESTART_SEED = 20240913
 _RESTART_WEIGHT_FLOOR = 1e-3
 _EXHAUSTIVE_MAX_ITER = 100
@@ -288,9 +287,13 @@ def _canonical_reps(d: int) -> tuple[int, ...]:
 
     All 2^(d(d-1)/2) codes are filtered against the permutations, the
     ones with the most fixed points first: the d(d-1)/2 transpositions
-    leave about 3,000 of the 2^21 codes at d = 7.
+    leave about 3,000 of the 2^21 codes at d = 7.  From d = 8 on the
+    codes exceed the entry budget: ResourceExhausted before allocating.
     """
-    codes = np.arange(1 << (d * (d - 1) // 2), dtype=np.int32)[:, None]
+    length = d * (d - 1) // 2
+    _check_entries(1 << length, f"search refused: the 2^{length} codes of "
+                                f"the graphs on {d} vertices")
+    codes = np.arange(1 << length, dtype=np.int32)[:, None]
     return tuple(map(int, _survivors(_image_tables(d), codes)[:, 0]))
 
 
@@ -378,19 +381,14 @@ def exhaustive_pi(n: int, d: int, restarts: int = 5) -> SearchResult:
     is the best start's ascent, so its S is one representative of a
     switching class of maximizers.
 
-    Refuses d above 8: the candidate space has 2^(d(d-1)/2) members.
-    Raises ResourceExhausted before any draw when the starts x restarts
-    lanes of d x d signs exceed 2^24 entries.
+    Raises ResourceExhausted before anything is allocated when d is
+    above 8, whose graph classes on d - 1 vertices are enumerated from
+    more than 2^24 codes, or when the starts x restarts lanes of d x d
+    signs exceed 2^24 entries.
     """
     _check_rank(n, d)
     if restarts < 1:
         raise PreconditionError("restarts must be >= 1")
-    if d > EXHAUSTIVE_MAX_D:
-        raise GuardRefusal(
-            f"exhaustive search refused for d={d}: "
-            f"2^{d * (d - 1) // 2} = {2 ** (d * (d - 1) // 2)} candidate "
-            f"sign matrices exceeds the d<={EXHAUSTIVE_MAX_D} guard",
-            candidates=2 ** (d * (d - 1) // 2))
     # Lower-block codes ascend, and so do the full codes, whose leading
     # bits are the +1 entries of row 0, so the earliest-start tie-break of
     # _best_run picks the lexicographically smallest start.

@@ -66,8 +66,25 @@ def test_search_trivial(capsys):
 def test_search_guard_refusal(capsys):
     code, out, err = run_cli(capsys, "search", "--n", "2", "--d", "9",
                              "--exhaustive")
-    assert code == 2
-    assert "2^36" in err and "68719476736" in err
+    assert code == 3
+    assert "2^28" in err and "2^24-entry budget" in err
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_search_refuses_d9_at_every_n(capsys, n):
+    # the graph classes on 8 vertices would be enumerated from 2^28 codes
+    code, out, err = run_cli(capsys, "search", "--n", str(n), "--d", "9",
+                             "--exhaustive")
+    assert (code, out) == (3, "")
+    assert err == ("resource error: search refused: the 2^28 codes of the "
+                   "graphs on 8 vertices exceed the 2^24-entry budget\n")
+
+
+def test_search_alternating_runs_past_the_exhaustive_limit(capsys):
+    code, out, _ = run_cli(capsys, "search", "--n", "2", "--d", "9",
+                           "--alternating", "--restarts", "1")
+    assert code == 0
+    assert json.loads(out)["value"] <= projconst.etf_bound(2, 9) + 1e-9
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -702,6 +719,22 @@ def test_import_builds_no_parser():
     assert proc.stdout == "0\n8\n"  # the parser and its 7 subparsers
 
 
+@pytest.mark.parametrize("argv, code, out_start, err_part", [
+    (["--help"], 0, "usage: projconst", ""),
+    (["certify", "--seed", "nosuch"], 1, "", "error: unknown seed"),
+    (["search", "--n", "2", "--d", "9"], 3, "", "2^24-entry budget"),
+])
+def test_module_entry_point(argv, code, out_start, err_part):
+    src = str(Path(projconst.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-m", "projconst", *argv],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == code
+    assert proc.stdout.startswith(out_start)
+    assert out_start or proc.stdout == ""
+    assert err_part in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_shared_parser_after_usage_error(capsys):
     code, out, _ = run_cli(capsys, "certify", "--seed", "hex3", "--nosuch")
     assert (code, out) == (1, "")
@@ -781,7 +814,6 @@ EXIT_CODES = [
     (projconst.NumericalError("n"), 1, "error"),
     (projconst.WitnessNormalizationError("w"), 1, "error"),
     (projconst.WitnessConstraintError("w"), 1, "error"),
-    (projconst.GuardRefusal("g"), 2, "refused"),
     (projconst.ResourceExhausted("r"), 3, "resource error"),
     (OSError("o"), 1, "input error"),
     (ValueError("v"), 1, "input error"),

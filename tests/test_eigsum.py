@@ -239,6 +239,12 @@ class TestSpectralGapBound:
             spectral_gap_bound(p)
 
 
+def _near_zero_entry_projection():
+    v = np.array([1.0, 1e-12, 1.0])
+    v /= np.linalg.norm(v)
+    return validate_projection(np.eye(3) - np.outer(v, v), 2)
+
+
 # Refusals at the public entry points of eigsum: (call, message).
 EIGSUM_REFUSALS = [
     pytest.param(lambda: equality_case([[np.nan, 0.0], [0.0, 1.0]],
@@ -256,6 +262,11 @@ EIGSUM_REFUSALS = [
                  id="equality-case-dimension-mismatch"),
     pytest.param(lambda: cucc_selection(np.eye(3), 4),
                  r"n=4 out of range 1\.\.3", id="cucc-n-beyond-d"),
+    # min |P_ij| = 5e-13: a zero by the SIGN_ZERO_TOL rule certify and
+    # almost_minimal apply, so the bound refuses it as they do
+    pytest.param(lambda: spectral_gap_bound(_near_zero_entry_projection()),
+                 "spectral gap bound requires positive |P|",
+                 id="gap-bound-roundoff-positive"),
 ]
 
 

@@ -6,11 +6,10 @@ import json
 import numpy as np
 import pytest
 
-from projconst import (GuardRefusal, PreconditionError, ResourceExhausted,
-                       SignMatrix, WeightVector, alternate_maximize,
-                       alternating_pi, certify, etf_bound, exhaustive_pi,
-                       gruenbaum_floor, kyfan_sum, perron, pi_n_general,
-                       sign_matrix_of)
+from projconst import (PreconditionError, ResourceExhausted, SignMatrix,
+                       WeightVector, alternate_maximize, alternating_pi,
+                       certify, etf_bound, exhaustive_pi, gruenbaum_floor,
+                       kyfan_sum, perron, pi_n_general, sign_matrix_of)
 from projconst.matcore import _perron_weights
 from projconst.search import (_ascend, _canonical_reps, _check_lanes,
                               _decode, _image_tables, _two_graph_reps,
@@ -398,9 +397,17 @@ class TestExhaustive:
         assert res.value == 1.0
 
     def test_guard(self):
-        with pytest.raises(GuardRefusal) as err:
+        with pytest.raises(ResourceExhausted, match="2\\^28"):
             exhaustive_pi(2, 9)
-        assert err.value.candidates == 2 ** 36
+
+    def test_d9_refused_before_any_allocation(self, monkeypatch):
+        # the codes are the first array the enumeration builds
+        def arange(*args, **kwargs):
+            raise AssertionError("allocated past the entry budget")
+
+        monkeypatch.setattr(np, "arange", arange)
+        with pytest.raises(ResourceExhausted, match="2\\^24-entry budget"):
+            exhaustive_pi(2, 9)
 
     @pytest.mark.parametrize("search", [exhaustive_pi, alternating_pi])
     def test_refuses_lanes_beyond_the_budget(self, monkeypatch, search):
