@@ -54,7 +54,7 @@ def eta_of_eps(n: int, eps: float) -> float:
         raise PreconditionError("n must be >= 1")
     if not (math.isfinite(eps) and eps > 0):
         raise PreconditionError("eps must be positive and finite")
-    eta = min(1.0, (eps / 32.0) ** 2) / math.sqrt(n)
+    eta = min(1.0, eps / 32.0) ** 2 / math.sqrt(n)
     if eta == 0.0:
         raise PreconditionError(f"eps {eps!r} is too small: eta underflows")
     return eta
@@ -243,13 +243,13 @@ def almost_minimal(n: int, eps: float, seed: OrthoProjection) -> PipelineResult:
     (seed_gap 0.142), eps 32, 16 and 8 (d = 646, 27,207, 69,110) all
     converge and stay at gap_minimality 0.0561 and gap_rows 0.1188.
     """
+    if seed.n != n:
+        raise PreconditionError(
+            f"seed has rank {seed.n}, expected n={n}")
     eta = eta_of_eps(n, eps)
     if not seed.abs_is_positive():
         raise PreconditionError(
             "pipeline seed must have strictly positive |P|")
-    if seed.n != n:
-        raise PreconditionError(
-            f"seed has rank {seed.n}, expected n={n}")
     m = seed.d
     weights = _perron_weights(seed.abs_entries()[None])[0]
     s = _signs(seed.entries, SIGN_ZERO_TOL)

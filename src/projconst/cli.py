@@ -258,7 +258,7 @@ def main(argv=None) -> int:
     except ProjconstError as exc:
         _note(f"{exc.label}: {exc}")
         return exc.exit_code
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, RecursionError, ValueError) as exc:
         _note(f"input error: {exc}")
         return 1
     print(text)

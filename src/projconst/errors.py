@@ -38,14 +38,8 @@ class InvariantViolation(ProjconstError):
 
 
 class ResourceExhausted(ProjconstError):
-    """A bounded scan or cap was exhausted before finding a result."""
+    """A request over the entry budget, or a bounded scan or cap run out."""
     exit_code, label = 3, "resource error"
-
-    def __init__(self, message: str, best_q: int | None = None,
-                 best_err: float | None = None):
-        self.best_q = best_q
-        self.best_err = best_err
-        super().__init__(message)
 
 
 class NumericalError(ProjconstError):

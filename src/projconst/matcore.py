@@ -290,10 +290,6 @@ class Spectrum:
     def d(self) -> int:
         return self.eigenvalues.size
 
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.T
-
 
 def eig_sym(a) -> Spectrum:
     """Full spectral decomposition of a symmetric matrix.

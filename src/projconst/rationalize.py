@@ -80,6 +80,8 @@ def dirichlet_approx(weights, k: int, q_cap: int | None = None) -> RationalWeigh
         raise PreconditionError("weights must sum to one within 1e-12")
     if k < 1:
         raise PreconditionError("k must be >= 1")
+    if k >= 2**1024 - 2**970:  # the scan's threshold 1.0 / k needs float(k)
+        raise PreconditionError("k must round to a finite float")
     m = w.size
     if q_cap is None:
         q_cap = min(k ** (m - 1), DEFAULT_Q_CAP)
@@ -105,8 +107,7 @@ def dirichlet_approx(weights, k: int, q_cap: int | None = None) -> RationalWeigh
     else:
         raise ResourceExhausted(
             f"no q <= {q_cap} reaches quality 1/{k} "
-            f"(best q={best[1]} with error {best[0]:.3e})",
-            best_q=best[1], best_err=best[0])
+            f"(best q={best[1]} with error {best[0]!r})")
 
     p_head = [int(x) for x in np.round(q * head)]
     p_last = q - sum(p_head)

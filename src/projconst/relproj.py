@@ -65,11 +65,6 @@ class SubspaceBasis:
         q, _ = np.linalg.qr(self.V)
         return OrthoProjection(q @ q.T, self.n)
 
-    def to_json(self) -> dict:
-        return {"d": self.d, "n": self.n,
-                "columns": [list(map(float, self.V[:, j]))
-                            for j in range(self.n)]}
-
     @classmethod
     def from_json(cls, obj: dict) -> "SubspaceBasis":
         if not isinstance(obj, dict) or "columns" not in obj:

@@ -111,19 +111,18 @@ def etf_bound(n: int, d: int) -> float:
     return float(n / d + np.sqrt(n * (d - 1) * (d - n)) / d)
 
 
-def alternate_maximize(n: int, s0: SignMatrix, d0: WeightVector,
-                       max_iter: int = _ALTERNATING_MAX_ITER) -> SearchResult:
+def alternate_maximize(n: int, s0: SignMatrix,
+                       d0: WeightVector) -> SearchResult:
     """Alternating ascent from (s0, d0); see the module docstring for the
-    update steps.  Non-convergence within max_iter is reported via
+    update steps.  Non-convergence within 200 iterations is reported via
     converged=False, never raised."""
     _check_rank(n, s0.d)
     if d0.d != s0.d:
         raise PreconditionError("weight dimension does not match sign matrix")
     if not np.all(d0.w > 0):
         raise PreconditionError("initial weights must be strictly positive")
-    if max_iter < 1:
-        raise PreconditionError("max_iter must be >= 1")
-    return _ascend(n, s0.entries[None], d0.w[None], max_iter).result(0)
+    return _ascend(n, s0.entries[None], d0.w[None],
+                   _ALTERNATING_MAX_ITER).result(0)
 
 
 class _Lanes(NamedTuple):
@@ -288,11 +287,13 @@ def _canonical_reps(d: int) -> tuple[int, ...]:
     All 2^(d(d-1)/2) codes are filtered against the permutations, the
     ones with the most fixed points first: the d(d-1)/2 transpositions
     leave about 3,000 of the 2^21 codes at d = 7.  From d = 8 on the
-    codes exceed the entry budget: ResourceExhausted before allocating.
+    codes exceed the entry budget: ResourceExhausted before allocating,
+    decided on the exponent, so a refusal builds nothing at any d.
     """
     length = d * (d - 1) // 2
-    _check_entries(1 << length, f"search refused: the 2^{length} codes of "
-                                f"the graphs on {d} vertices")
+    _check_entries(1 << min(length, 25),
+                   f"search refused: the 2^{length} codes of the graphs on "
+                   f"{d} vertices")
     codes = np.arange(1 << length, dtype=np.int32)[:, None]
     return tuple(map(int, _survivors(_image_tables(d), codes)[:, 0]))
 
@@ -356,11 +357,13 @@ def restart_weights(d: int, count: int) -> np.ndarray:
                     + [_floored_dirichlet(rng, d) for _ in range(count - 1)])
 
 
-def _check_lanes(lanes: int, d: int) -> None:
-    """Refuse a search whose lanes x d x d sign stack exceeds the entry
-    budget, before anything is drawn or allocated."""
-    _check_entries(lanes * d * d, f"search refused: {lanes} ascent lanes "
-                                  f"of {d} x {d} sign matrices")
+def _check_lanes(lanes: int, d: int, max_iter: int) -> None:
+    """Refuse a search whose lanes x d x d sign stack or lanes x max_iter
+    value history exceeds the entry budget, before anything is drawn or
+    allocated."""
+    _check_entries(lanes * max(d * d, max_iter),
+                   f"search refused: {lanes} ascent lanes of {d} x {d} sign "
+                   f"matrices and {max_iter}-step histories")
 
 
 def _best_run(n: int, s: np.ndarray, w: np.ndarray,
@@ -383,8 +386,9 @@ def exhaustive_pi(n: int, d: int, restarts: int = 5) -> SearchResult:
 
     Raises ResourceExhausted before anything is allocated when d is
     above 8, whose graph classes on d - 1 vertices are enumerated from
-    more than 2^24 codes, or when the starts x restarts lanes of d x d
-    signs exceed 2^24 entries.
+    more than 2^24 codes (at any d, the refusal builds nothing), or when
+    the starts x restarts lanes of d x d signs or 100-step value
+    histories exceed 2^24 entries: 690 restarts at d = 8.
     """
     _check_rank(n, d)
     if restarts < 1:
@@ -393,7 +397,7 @@ def exhaustive_pi(n: int, d: int, restarts: int = 5) -> SearchResult:
     # bits are the +1 entries of row 0, so the earliest-start tie-break of
     # _best_run picks the lexicographically smallest start.
     lower = _two_graph_reps(d)
-    _check_lanes(len(lower) * restarts, d)
+    _check_lanes(len(lower) * restarts, d, _EXHAUSTIVE_MAX_ITER)
     reps = np.ones((len(lower), d, d))
     reps[:, 1:, 1:] = _decode(lower, d - 1)
     return _best_run(n, np.repeat(reps, restarts, axis=0),
@@ -407,13 +411,13 @@ def alternating_pi(n: int, d: int, restarts: int = 5) -> SearchResult:
     strictly positive simplex weights, drawn from a fixed seed.
 
     A lower bound at any d; exhaustive_pi gives the exact value up to d = 8.
-    Raises ResourceExhausted before any draw when restarts x d x d
-    exceeds 2^24 entries.
+    Raises ResourceExhausted before any draw when restarts x max(d^2, 200)
+    exceeds 2^24 entries (the sign stack or the 200-step value history).
     """
     if restarts < 1:
         raise PreconditionError("restarts must be >= 1")
     _check_rank(n, d)
-    _check_lanes(restarts, d)
+    _check_lanes(restarts, d, _ALTERNATING_MAX_ITER)
     rng = np.random.default_rng(_RESTART_SEED)
     s = np.empty((restarts, d, d))
     w = np.empty((restarts, d))

@@ -806,8 +806,8 @@ def test_json_roundtrip_bit_exact(capsys):
 
 
 # Each package error type owns its exit code and stderr label, and main
-# returns and prints exactly those; OSError and ValueError are input
-# errors: (raised exception, exit code, label).
+# returns and prints exactly those; OSError, RecursionError and ValueError
+# are input errors: (raised exception, exit code, label).
 EXIT_CODES = [
     (projconst.PreconditionError("p"), 1, "error"),
     (projconst.InvariantViolation("i"), 1, "error"),
@@ -816,6 +816,7 @@ EXIT_CODES = [
     (projconst.WitnessConstraintError("w"), 1, "error"),
     (projconst.ResourceExhausted("r"), 3, "resource error"),
     (OSError("o"), 1, "input error"),
+    (RecursionError("r"), 1, "input error"),
     (ValueError("v"), 1, "input error"),
 ]
 
@@ -835,3 +836,48 @@ def test_exit_code_of_each_error_type(capsys, monkeypatch, exc, code, label):
     monkeypatch.setattr("projconst.almostmin.certify", certify)
     assert run_cli(capsys, "certify", "--seed", "hex3") == (
         code, "", f"{label}: {exc}\n")
+
+
+# Extreme numbers, a huge d and deeply nested JSON end with a documented
+# exit code and no traceback: (argv, exit code, stderr part).  {nested}
+# is a file of 100,000 nested "[", {basis} a valid basis file.
+EXTREME_INPUTS = [
+    pytest.param(["search", "--n", "2", "--d", "99999999999"], 3,
+                 "the 2^4999999999750000000003 codes", id="search-huge-d"),
+    pytest.param(["almost-min", "--n", "2", "--eps", "1e300",
+                  "--seed", "hex3"], 0, "d=3", id="almost-min-huge-eps"),
+    pytest.param(["almost-min", "--n", str(10**400), "--eps", "1",
+                  "--seed", "hex3"], 1, "seed has rank 2",
+                 id="almost-min-huge-n"),
+    pytest.param(["dirichlet", "--weights", "0.5,0.5",
+                  "--k", str(2**1024 - 2**970)], 1,
+                 "k must round to a finite float", id="dirichlet-huge-k"),
+    pytest.param(["certify", "--seed", "{nested}"], 1, "recursion",
+                 id="certify-nested"),
+    pytest.param(["almost-min", "--n", "1", "--eps", "1",
+                  "--seed", "{nested}"], 1, "recursion",
+                 id="almost-min-nested"),
+    pytest.param(["eigsum", "--matrix", "{nested}", "--n", "1"], 1,
+                 "recursion", id="eigsum-nested"),
+    pytest.param(["blowup", "--base", "{nested}", "--multiplicities", "1"],
+                 1, "recursion", id="blowup-nested"),
+    pytest.param(["relproj", "--space", "l1", "--basis", "{nested}"], 1,
+                 "recursion", id="relproj-basis-nested"),
+    pytest.param(["relproj", "--space", "l1", "--basis", "{basis}",
+                  "--certify", "{nested}"], 1, "recursion",
+                 id="relproj-certify-nested"),
+]
+
+
+@pytest.mark.parametrize("argv, code, err_part", EXTREME_INPUTS)
+def test_extreme_inputs_end_with_their_exit_code(tmp_path, capsys, argv,
+                                                 code, err_part):
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 100_000)
+    basis = tmp_path / "basis.json"
+    basis.write_text(json.dumps({"columns": [[1, 0, 0], [0, 1, 0]]}))
+    argv = [a.format(nested=nested, basis=basis) for a in argv]
+    got, out, err = run_cli(capsys, *argv)
+    assert got == code
+    assert (out == "") == (code != 0)
+    assert err_part in err and "Traceback" not in err

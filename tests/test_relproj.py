@@ -106,7 +106,8 @@ class TestSubspaceBasis:
             SubspaceBasis(np.array([[1.0, 2.0], [2.0, 4.0], [0.0, 0.0]]))
 
     def test_json_roundtrip(self):
-        blob = HEX_BASIS.to_json()
+        blob = {"d": HEX_BASIS.d, "n": HEX_BASIS.n,
+                "columns": HEX_BASIS.V.T.tolist()}
         back = SubspaceBasis.from_json(blob)
         assert np.array_equal(back.V, HEX_BASIS.V)
 

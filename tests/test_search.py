@@ -2,6 +2,7 @@ import functools
 import hashlib
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -409,6 +410,21 @@ class TestExhaustive:
         with pytest.raises(ResourceExhausted, match="2\\^24-entry budget"):
             exhaustive_pi(2, 9)
 
+    def test_refusal_builds_nothing_at_any_d(self):
+        # the budget is decided on the exponent, so the count 2^199970001
+        # of d = 20,000, a 25 MiB integer, is never built
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceExhausted,
+                               match="the 2\\^199970001 codes"):
+                exhaustive_pi(2, 20_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        with pytest.raises(ResourceExhausted, match="2\\^24-entry budget"):
+            exhaustive_pi(2, 10**11)
+
     @pytest.mark.parametrize("search", [exhaustive_pi, alternating_pi])
     def test_refuses_lanes_beyond_the_budget(self, monkeypatch, search):
         # 10^20 lanes cannot be allocated; the refusal comes before any
@@ -422,9 +438,16 @@ class TestExhaustive:
             search(2, 2, 10 ** 20)
 
     def test_lane_budget_is_two_to_the_24_entries(self):
-        _check_lanes(1 << 20, 4)
-        with pytest.raises(ResourceExhausted):
-            _check_lanes((1 << 20) + 1, 4)
+        # lanes x max(d^2, max_iter): the sign stack or the value history;
+        # 690 restarts of the 243 two-graphs at d = 8 fit, 691 do not
+        for lanes, d, max_iter in ((1 << 20, 4, 16), (1 << 16, 4, 256),
+                                   (243 * 690, 8, 100)):
+            _check_lanes(lanes, d, max_iter)
+        for lanes, d, max_iter in (((1 << 20) + 1, 4, 16),
+                                   ((1 << 16) + 1, 4, 256),
+                                   (243 * 691, 8, 100)):
+            with pytest.raises(ResourceExhausted):
+                _check_lanes(lanes, d, max_iter)
 
     @pytest.mark.parametrize("n, d, restarts", list(EXHAUSTIVE_DIGESTS))
     def test_reproduces_cli_output(self, n, d, restarts):
@@ -576,6 +599,16 @@ class TestAlternating:
                            match=rf"n={n} out of range 1\.\.{d}$"):
             alternating_pi(n, d)
 
+    def test_lane_budget_counts_the_value_history(self, monkeypatch):
+        # 83,887 lanes of 3 x 3 signs fit the budget; their 200-step value
+        # histories do not, and the refusal comes before any draw
+        def unreachable(*args):
+            raise AssertionError("drew past the lane budget")
+
+        monkeypatch.setattr("projconst.search._floored_dirichlet", unreachable)
+        with pytest.raises(ResourceExhausted, match="200-step histories"):
+            alternating_pi(1, 3, 2**24 // 200 + 1)
+
 
 class TestAscentKernel:
     @pytest.mark.parametrize("max_iter", [3, 100])
@@ -599,7 +632,8 @@ class TestAscentKernel:
             assert abs(np.linalg.eigvalsh(a)[-n:].sum()
                        - lanes.value[i]) <= 1e-12
             assert np.abs(a @ lanes.p[i] - lanes.p[i] @ a).max() <= 1e-12
-            alone = alternate_maximize(n, s0, d0, max_iter=max_iter)
+            alone = _ascend(n, s0.entries[None], d0.w[None],
+                            max_iter).result(0)
             k = alone.iterations
             assert lanes.iterations[i] == k
             assert lanes.converged[i] == alone.converged
@@ -641,20 +675,18 @@ def test_result_is_kyfan_sum_of_its_weighted_sign_matrix(search, n, d):
     assert np.array_equal(p.entries, res.P.entries)
 
 
-# Refusals of alternate_maximize: (n, sign matrix, weights, max_iter,
-# message).
+# Refusals of alternate_maximize: (n, sign matrix, weights, message).
 ALTERNATE_REFUSALS = [
-    (4, HEX_S, np.full(3, 1 / 3), 1, r"n=4 out of range 1\.\.3"),
-    (1, HEX_S, np.full(2, 1 / 2), 1,
+    (4, HEX_S, np.full(3, 1 / 3), r"n=4 out of range 1\.\.3"),
+    (1, HEX_S, np.full(2, 1 / 2),
      "weight dimension does not match sign matrix"),
-    (1, HEX_S, np.full(3, 1 / 3), 0, "max_iter must be >= 1"),
     # WeightVector admits a zero weight; only alternate_maximize refuses it
-    (1, HEX_S, np.array([0.5, 0.5, 0.0]), 1,
+    (1, HEX_S, np.array([0.5, 0.5, 0.0]),
      "initial weights must be strictly positive"),
 ]
 
 
-@pytest.mark.parametrize("n, s, w, max_iter, message", ALTERNATE_REFUSALS)
-def test_alternate_maximize_refusals(n, s, w, max_iter, message):
+@pytest.mark.parametrize("n, s, w, message", ALTERNATE_REFUSALS)
+def test_alternate_maximize_refusals(n, s, w, message):
     with pytest.raises(PreconditionError, match=message):
-        alternate_maximize(n, SignMatrix(s), WeightVector(w), max_iter)
+        alternate_maximize(n, SignMatrix(s), WeightVector(w))
