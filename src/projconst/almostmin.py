@@ -34,8 +34,9 @@ import numpy as np
 
 from .blowup import BlockProjection, BlowupSpec, blow_up
 from .errors import PreconditionError, WitnessConstraintError
-from .matcore import (SIGN_ZERO_TOL, OrthoProjection, SignMatrix, _kyfan,
-                      _perron_pairs, _perron_weights, _signs, matrix_to_json)
+from .matcore import (SIGN_ZERO_TOL, OrthoProjection, SignMatrix, _int_sqrt,
+                      _kyfan, _perron_pairs, _perron_weights, _signs,
+                      matrix_to_json)
 from .rationalize import choose_k, dirichlet_approx
 from .relproj import trace_certificate
 
@@ -54,7 +55,7 @@ def eta_of_eps(n: int, eps: float) -> float:
         raise PreconditionError("n must be >= 1")
     if not (math.isfinite(eps) and eps > 0):
         raise PreconditionError("eps must be positive and finite")
-    eta = min(1.0, eps / 32.0) ** 2 / math.sqrt(n)
+    eta = min(1.0, eps / 32.0) ** 2 / _int_sqrt(n, "n")
     if eta == 0.0:
         raise PreconditionError(f"eps {eps!r} is too small: eta underflows")
     return eta

@@ -110,9 +110,7 @@ def _cmd_relproj(args) -> tuple[dict, str]:
             f"{res.refactorizations} refactorizations")
     if args.certify:
         witness = matrix_from_json(_load_json(args.certify))
-        cert = relproj.trace_certificate(witness,
-                                         basis.orthogonal_projection(),
-                                         args.space)
+        cert = relproj.trace_certificate(witness, res.P, args.space)
         out["witness_value"] = cert.value
         note += f", witness {cert.value!r}"
     return out, note

@@ -4,8 +4,8 @@ Provides the matrix classes used everywhere else (symmetric matrices, sign
 matrices, simplex weight vectors, rank-n orthogonal projections, spectra)
 together with the spectral primitives: a deterministic symmetric
 eigensolver wrapper, Perron pairs of positive matrices, sign matrices of
-thresholded signs, projection validation, and the two checks every
-engine shares: the 2^24-entry budget and the rank range n in 1..d.
+thresholded signs, projection validation, and the three checks every
+engine shares: the 2^24-entry budget, the rank range and the float range.
 Every spectral primitive takes the same dense LAPACK path at every d.
 The search and the almost-minimal pipeline share two stack steps, the
 rank-n Ky Fan maximizer and the Perron weights, implemented once here.
@@ -16,6 +16,7 @@ threads; every operation is a pure function of its inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import InitVar, dataclass
 
 import numpy as np
@@ -39,6 +40,14 @@ def _check_entries(count: int, what: str) -> None:
     """Refuse ``count`` entries, named by ``what``, before allocating."""
     if count > _ENTRY_BUDGET:
         raise ResourceExhausted(f"{what} exceed the 2^24-entry budget")
+
+
+def _int_sqrt(x: int, name: str) -> float:
+    """sqrt(x), refused where the integer x does not fit a float."""
+    try:
+        return math.sqrt(x)
+    except OverflowError:
+        raise PreconditionError(f"{name} does not fit a float") from None
 
 
 def _check_rank(n: int, d: int) -> None:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError, ResourceExhausted
+from .matcore import _int_sqrt
 
 DEFAULT_Q_CAP = 10**6
 _FIRST_CHUNK = 1 << 8
@@ -52,7 +53,7 @@ def choose_k(n: int, m: int, eps: float, eps0: float) -> int:
     if not all(math.isfinite(x) and x > 0 for x in (eps, eps0)):
         raise PreconditionError("eps and eps0 must be finite and positive")
     denom = eps * eps0
-    bound = 4.0 * (m - 1) * math.sqrt(n) / denom if denom > 0 else math.inf
+    bound = 4.0 * (m - 1) * _int_sqrt(n, "n") / denom if denom else math.inf
     if not math.isfinite(bound):
         raise PreconditionError(
             f"eps * eps0 = {denom!r} is too small for a finite k")

@@ -126,12 +126,14 @@ class LpProjection:
 
     ``Q`` is a projection onto E with operator norm ``value``, so
     value >= Pi(E); ``witness`` comes from the LP duals and certifies
-    Tr(AP) = value <= Pi(E).  ``pivots`` counts simplex pivots and
-    ``refactorizations`` the fresh factorizations of the simplex basis.
+    Tr(AP) = value <= Pi(E) for ``P``, the checked orthogonal projection
+    onto E.  ``pivots`` counts simplex pivots and ``refactorizations``
+    the fresh factorizations of the simplex basis.
     """
 
     value: float
     Q: np.ndarray
+    P: OrthoProjection
     witness: DualityWitness
     pivots: int
     refactorizations: int
@@ -195,16 +197,17 @@ def min_projection_norm(basis: SubspaceBasis, space: str) -> LpProjection:
         raise NumericalError(
             f"LP bound {res.value:.12g} inconsistent with achieved norm "
             f"{value:.12g}")
+    ortho = OrthoProjection(p, n)
     try:
-        witness = trace_certificate(res.duals[:nb].reshape(d, d).T,
-                                    OrthoProjection(p, n), space)
+        witness = trace_certificate(res.duals[:nb].reshape(d, d).T, ortho,
+                                    space)
     except (WitnessNormalizationError, WitnessConstraintError) as exc:
         raise NumericalError(f"LP duals are not a duality witness: {exc}")
     if abs(witness.value - value) > 1e-9:
         raise NumericalError(
             f"dual bound {witness.value:.12g} does not certify the LP "
             f"value {value:.12g}")
-    return LpProjection(value, q, witness, res.iterations,
+    return LpProjection(value, q, ortho, witness, res.iterations,
                         res.refactorizations)
 
 

@@ -46,6 +46,7 @@ except that a failed Perron solve raises ``NumericalError``.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -54,8 +55,8 @@ import numpy as np
 
 from .errors import PreconditionError
 from .matcore import (SIGN_ZERO_TOL, OrthoProjection, SignMatrix, WeightVector,
-                      _check_entries, _check_rank, _kyfan, _perron_weights,
-                      _signs, matrix_to_json)
+                      _check_entries, _check_rank, _int_sqrt, _kyfan,
+                      _perron_weights, _signs, matrix_to_json)
 
 _RESTART_SEED = 20240913
 _RESTART_WEIGHT_FLOOR = 1e-3
@@ -68,9 +69,10 @@ _FIXED_POINT_WEIGHT_TOL = 1e-12
 @dataclass(frozen=True, eq=False)
 class SearchResult:
     """The (S, D) pair the best run last stepped from, with the Ky Fan
-    maximizer P of sqrt(D) S sqrt(D), its objective value, and convergence
-    data.  Value and P belong to this (S, D) whether the run converged
-    (reached a fixed point or stopped improving) or ran out of iterations."""
+    maximizer P of sqrt(D) S sqrt(D), its objective value, iteration count
+    and convergence flag.  Value and P belong to this (S, D) whether the
+    run converged (reached a fixed point or stopped improving) or ran out
+    of iterations."""
 
     S: SignMatrix
     D: WeightVector
@@ -78,7 +80,6 @@ class SearchResult:
     P: OrthoProjection
     iterations: int
     converged: bool
-    history: tuple[float, ...]
     # Counted over every start of the search that produced this result.
     runs: int
     ascent_iterations: int
@@ -100,7 +101,7 @@ def gruenbaum_floor(n: int) -> float:
     constant of order n (the Euclidean space already exceeds it)."""
     if n < 1:
         raise PreconditionError("n must be >= 1")
-    return float(np.sqrt(2.0 / np.pi) * np.sqrt(n))
+    return math.sqrt(2.0 / math.pi) * _int_sqrt(n, "n")
 
 
 def etf_bound(n: int, d: int) -> float:
@@ -108,7 +109,7 @@ def etf_bound(n: int, d: int) -> float:
     when d equiangular unit vectors form a tight frame of R^n (Koenig,
     Lewis and Lin 1983)."""
     _check_rank(n, d)
-    return float(n / d + np.sqrt(n * (d - 1) * (d - n)) / d)
+    return n / d + _int_sqrt(n * (d - 1) * (d - n), "n(d-1)(d-n)") / d
 
 
 def alternate_maximize(n: int, s0: SignMatrix,
@@ -127,8 +128,7 @@ def alternate_maximize(n: int, s0: SignMatrix,
 
 class _Lanes(NamedTuple):
     """Per-lane outcome of :func:`_ascend`: the (S, D) of the last step,
-    its value and maximizer P, and each lane's value history (NaN past
-    its last iteration)."""
+    its value and maximizer P, its iteration count and convergence."""
 
     n: int
     value: np.ndarray        # (B,)
@@ -137,18 +137,19 @@ class _Lanes(NamedTuple):
     p: np.ndarray            # (B, d, d)
     iterations: np.ndarray   # (B,)
     converged: np.ndarray    # (B,)
-    history: np.ndarray      # (B, max_iter)
 
     def result(self, i: int) -> SearchResult:
         """Lane i as a checked result, with the counters of all lanes."""
-        k = int(self.iterations[i])
         return SearchResult(
             SignMatrix(self.s[i]), WeightVector(self.w[i]),
-            float(self.value[i]), OrthoProjection(self.p[i], self.n), k,
-            bool(self.converged[i]), tuple(map(float, self.history[i, :k])),
-            runs=len(self.value),
-            ascent_iterations=int(self.iterations.sum()),
+            float(self.value[i]), OrthoProjection(self.p[i], self.n),
+            int(self.iterations[i]), bool(self.converged[i]),
+            runs=len(self.value), ascent_iterations=int(self.iterations.sum()),
             nonconverged=int(np.count_nonzero(~self.converged)))
+
+    def best(self) -> SearchResult:
+        """The first lane of maximal value, so ties go to the earliest."""
+        return self.result(int(np.argmax(self.value)))
 
 
 def _ascend(n: int, s: np.ndarray, w: np.ndarray, max_iter: int) -> _Lanes:
@@ -165,15 +166,13 @@ def _ascend(n: int, s: np.ndarray, w: np.ndarray, max_iter: int) -> _Lanes:
     """
     b, d = s.shape[0], s.shape[-1]
     out = _Lanes(n, np.empty(b), np.empty((b, d, d)), np.empty((b, d)),
-                 np.empty((b, d, d)), np.zeros(b, dtype=int),
-                 np.zeros(b, dtype=bool), np.full((b, max_iter), np.nan))
+                 np.empty((b, d, d)), np.zeros(b, int), np.zeros(b, bool))
     lanes = np.arange(b)
     prev = np.full(b, -np.inf)
     for it in range(max_iter):
         sq = np.sqrt(w)
         evals, p = _kyfan(s * sq[:, :, None] * sq[:, None, :], n)
         value = evals[:, :n].sum(axis=1)
-        out.history[lanes, it] = value
 
         s_next = _signs(p, SIGN_ZERO_TOL)
         # A stalled lane stops here with w, so it takes no Perron step.
@@ -339,39 +338,30 @@ def _decode(codes, d: int) -> np.ndarray:
     return s
 
 
-def _floored_dirichlet(rng: np.random.Generator, d: int) -> np.ndarray:
-    """Flat Dirichlet draw lifted off the simplex boundary by a floor, so
-    every weight is strictly positive."""
-    w = rng.dirichlet(np.ones(d))
+def _floored_dirichlet(rng: np.random.Generator, d: int,
+                       count: int) -> np.ndarray:
+    """(count, d) flat Dirichlet draws from one call, each row lifted off
+    the simplex boundary by a floor and normalized on its own."""
+    w = rng.dirichlet(np.ones(d), size=count)
     w = (w + _RESTART_WEIGHT_FLOOR) / (1.0 + d * _RESTART_WEIGHT_FLOOR)
-    return w / w.sum()
+    return w / w.sum(axis=1, keepdims=True)
 
 
 def restart_weights(d: int, count: int) -> np.ndarray:
-    """Deterministic weight restarts as a (count, d) array: uniform plus
-    count-1 strictly positive pseudo-random simplex points from a fixed
+    """Deterministic weight restarts as a (count, d) array: uniform on top
+    of count-1 strictly positive simplex points drawn at once from a fixed
     seed.  Plain rows, valid by construction; the weights a search
     reports are checked once, as its result's WeightVector."""
     rng = np.random.default_rng(_RESTART_SEED)
-    return np.array([np.full(d, 1.0 / d)]
-                    + [_floored_dirichlet(rng, d) for _ in range(count - 1)])
+    return np.vstack([np.full((1, d), 1.0 / d),
+                      _floored_dirichlet(rng, d, count - 1)])
 
 
-def _check_lanes(lanes: int, d: int, max_iter: int) -> None:
-    """Refuse a search whose lanes x d x d sign stack or lanes x max_iter
-    value history exceeds the entry budget, before anything is drawn or
-    allocated."""
-    _check_entries(lanes * max(d * d, max_iter),
-                   f"search refused: {lanes} ascent lanes of {d} x {d} sign "
-                   f"matrices and {max_iter}-step histories")
-
-
-def _best_run(n: int, s: np.ndarray, w: np.ndarray,
-              max_iter: int) -> SearchResult:
-    """Best ascent over the starts (s[i], w[i]), all stepped together.
-    The first maximal value wins, so ties go to the earliest start."""
-    lanes = _ascend(n, s, w, max_iter)
-    return lanes.result(int(np.argmax(lanes.value)))
+def _check_lanes(lanes: int, d: int) -> None:
+    """Refuse a search whose lanes x d x d sign stack exceeds the entry
+    budget, before anything is drawn or allocated."""
+    _check_entries(lanes * d * d, f"search refused: {lanes} ascent lanes of "
+                                  f"{d} x {d} sign matrices")
 
 
 def exhaustive_pi(n: int, d: int, restarts: int = 5) -> SearchResult:
@@ -387,42 +377,39 @@ def exhaustive_pi(n: int, d: int, restarts: int = 5) -> SearchResult:
     Raises ResourceExhausted before anything is allocated when d is
     above 8, whose graph classes on d - 1 vertices are enumerated from
     more than 2^24 codes (at any d, the refusal builds nothing), or when
-    the starts x restarts lanes of d x d signs or 100-step value
-    histories exceed 2^24 entries: 690 restarts at d = 8.
+    starts x restarts x d^2 exceeds 2^24: 1078 restarts at d = 8.
     """
     _check_rank(n, d)
     if restarts < 1:
         raise PreconditionError("restarts must be >= 1")
     # Lower-block codes ascend, and so do the full codes, whose leading
     # bits are the +1 entries of row 0, so the earliest-start tie-break of
-    # _best_run picks the lexicographically smallest start.
+    # _Lanes.best picks the lexicographically smallest start.
     lower = _two_graph_reps(d)
-    _check_lanes(len(lower) * restarts, d, _EXHAUSTIVE_MAX_ITER)
+    _check_lanes(len(lower) * restarts, d)
     reps = np.ones((len(lower), d, d))
     reps[:, 1:, 1:] = _decode(lower, d - 1)
-    return _best_run(n, np.repeat(reps, restarts, axis=0),
-                     np.tile(restart_weights(d, restarts), (len(reps), 1)),
-                     _EXHAUSTIVE_MAX_ITER)
+    return _ascend(n, np.repeat(reps, restarts, axis=0),
+                   np.tile(restart_weights(d, restarts), (len(reps), 1)),
+                   _EXHAUSTIVE_MAX_ITER).best()
 
 
 def alternating_pi(n: int, d: int, restarts: int = 5) -> SearchResult:
     """Maximize pi_n(sqrt(D) S sqrt(D)) by alternation from ``restarts``
-    pseudo-random starts: a uniform random sign matrix of size d and
-    strictly positive simplex weights, drawn from a fixed seed.
+    pseudo-random starts drawn from a fixed seed: uniform random sign
+    matrices of size d, all in one draw, then strictly positive simplex
+    weights, all in one draw.
 
     A lower bound at any d; exhaustive_pi gives the exact value up to d = 8.
-    Raises ResourceExhausted before any draw when restarts x max(d^2, 200)
-    exceeds 2^24 entries (the sign stack or the 200-step value history).
+    Raises ResourceExhausted before any draw when restarts x d^2 (the
+    sign stack) exceeds 2^24 entries.
     """
     if restarts < 1:
         raise PreconditionError("restarts must be >= 1")
     _check_rank(n, d)
-    _check_lanes(restarts, d, _ALTERNATING_MAX_ITER)
+    _check_lanes(restarts, d)
     rng = np.random.default_rng(_RESTART_SEED)
-    s = np.empty((restarts, d, d))
-    w = np.empty((restarts, d))
-    for k in range(restarts):
-        upper = np.triu(2.0 * rng.integers(0, 2, size=(d, d)) - 1.0, 1)
-        s[k] = upper + upper.T + np.eye(d)
-        w[k] = _floored_dirichlet(rng, d)
-    return _best_run(n, s, w, _ALTERNATING_MAX_ITER)
+    upper = np.triu(2.0 * rng.integers(0, 2, size=(restarts, d, d)) - 1.0, 1)
+    s = upper + upper.transpose(0, 2, 1) + np.eye(d)
+    return _ascend(n, s, _floored_dirichlet(rng, d, restarts),
+                   _ALTERNATING_MAX_ITER).best()

@@ -349,6 +349,32 @@ def test_relproj_with_witness(tmp_path, capsys):
     assert abs(data["witness_value"] - 4 / 3) <= 1e-9
 
 
+def test_relproj_certify_reuses_the_lp_projection(tmp_path, capsys,
+                                                  monkeypatch):
+    # the witness is checked against the P min_projection_norm built and
+    # checked, bit for bit the value a second factorization gives
+    columns = [[1.0, 0.0, -1.0], [0.0, 1.0, -1.0]]
+    basis_file = tmp_path / "hex.json"
+    basis_file.write_text(json.dumps({"d": 3, "n": 2, "columns": columns}))
+    witness = (2 * np.eye(3) - np.ones((3, 3))) / 3
+    witness_file = tmp_path / "witness.json"
+    witness_file.write_text(json.dumps(matrix_to_json(witness)))
+    basis = projconst.SubspaceBasis(np.array(columns).T)
+    expected = projconst.trace_certificate(
+        witness, basis.orthogonal_projection(), "l1").value
+
+    def refactorize(self):
+        raise AssertionError("factorized the basis a second time")
+
+    monkeypatch.setattr(projconst.SubspaceBasis,
+                        "orthogonal_projection", refactorize)
+    code, out, _ = run_cli(capsys, "relproj", "--space", "l1",
+                           "--basis", str(basis_file),
+                           "--certify", str(witness_file))
+    assert code == 0
+    assert json.loads(out)["witness_value"] == expected
+
+
 def test_relproj_rejects_nan_witness(tmp_path, capsys):
     basis_file = tmp_path / "hex.json"
     basis_file.write_text(json.dumps(
@@ -844,6 +870,13 @@ def test_exit_code_of_each_error_type(capsys, monkeypatch, exc, code, label):
 EXTREME_INPUTS = [
     pytest.param(["search", "--n", "2", "--d", "99999999999"], 3,
                  "the 2^4999999999750000000003 codes", id="search-huge-d"),
+    pytest.param(["search", "--n", "1", "--d", "3", "--alternating",
+                  "--restarts", "100000"], 0, "100000 ascent runs",
+                 id="search-alternating-100000-restarts"),
+    pytest.param(["search", "--n", "1", "--d", "3", "--alternating",
+                  "--restarts", "1864136"], 3,
+                 "1864136 ascent lanes of 3 x 3 sign matrices exceed",
+                 id="search-alternating-past-the-lane-budget"),
     pytest.param(["almost-min", "--n", "2", "--eps", "1e300",
                   "--seed", "hex3"], 0, "d=3", id="almost-min-huge-eps"),
     pytest.param(["almost-min", "--n", str(10**400), "--eps", "1",
